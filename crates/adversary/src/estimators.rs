@@ -187,7 +187,7 @@ pub fn jordan_center(graph: &Graph, view: &AdversaryView, candidates: &[NodeId])
 mod tests {
     use super::*;
     use crate::observer::{AdversarySet, Observation};
-    use fnp_netsim::topology;
+    use fnp_netsim::{topology, SimConfig, TrialArena};
 
     fn view(observations: Vec<Observation>) -> AdversaryView {
         AdversaryView { observations }
@@ -292,8 +292,15 @@ mod tests {
     fn view_extraction_plus_estimation_pipeline() {
         // End-to-end: flood a graph, extract the adversary view and check the
         // first-spy guess is a neighbour of an adversarial node.
-        use fnp_gossip_stub::run_small_flood;
-        let (graph, metrics, origin) = run_small_flood();
+        let graph =
+            topology::random_regular(60, 4, &mut rand::rngs::StdRng::seed_from_u64(7)).unwrap();
+        let origin = NodeId::new(0);
+        let config = SimConfig {
+            record_trace: true,
+            ..SimConfig::default()
+        };
+        let metrics =
+            fnp_gossip::run_flood_in(&mut TrialArena::new(), graph.clone(), origin, 1, config);
         let adversaries = AdversarySet::random_fraction(
             graph.node_count(),
             0.3,
@@ -304,62 +311,6 @@ mod tests {
         let estimate = first_spy(&view);
         if let Some(guess) = estimate.best_guess {
             assert!(guess.index() < graph.node_count());
-        }
-    }
-
-    /// A tiny local flooding implementation so this crate's tests do not
-    /// depend on `fnp-gossip` (which would create a dependency cycle risk
-    /// for no benefit — the estimators only need *a* trace).
-    mod fnp_gossip_stub {
-        use fnp_netsim::{
-            topology, Context, Graph, Metrics, NodeId, Payload, ProtocolNode, SimConfig, Simulator,
-        };
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        #[derive(Clone, Debug)]
-        pub struct Tx;
-        impl Payload for Tx {
-            fn kind(&self) -> &'static str {
-                "flood"
-            }
-        }
-
-        #[derive(Default)]
-        pub struct Node {
-            seen: bool,
-        }
-        impl ProtocolNode for Node {
-            type Message = Tx;
-            fn on_message(&mut self, from: NodeId, msg: Tx, ctx: &mut Context<'_, Tx>) {
-                if !std::mem::replace(&mut self.seen, true) {
-                    ctx.mark_delivered();
-                    ctx.send_to_neighbors_except(msg, &[from]);
-                }
-            }
-        }
-
-        pub fn run_small_flood() -> (Graph, Metrics, NodeId) {
-            let mut rng = StdRng::seed_from_u64(7);
-            let graph = topology::random_regular(60, 4, &mut rng).unwrap();
-            let origin = NodeId::new(0);
-            let nodes = (0..60).map(|_| Node::default()).collect();
-            let mut sim = Simulator::new(
-                graph.clone(),
-                nodes,
-                SimConfig {
-                    record_trace: true,
-                    ..SimConfig::default()
-                },
-            );
-            sim.trigger(origin, |node, ctx| {
-                node.seen = true;
-                ctx.mark_delivered();
-                ctx.send_to_neighbors_except(Tx, &[]);
-            });
-            sim.run();
-            let (_, metrics) = sim.into_parts();
-            (graph, metrics, origin)
         }
     }
 

@@ -182,11 +182,13 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`ParseError`] describing the offending byte offset for
-    /// malformed input (including trailing garbage after the document).
+    /// malformed input (including trailing garbage after the document) and
+    /// for arrays or objects nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -289,9 +291,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts.
+///
+/// The parser spends stack frames per nesting level, so without a cap one
+/// hostile line of `[[[…` overflows the stack and aborts the process. The
+/// documents this workspace writes nest at most 6 deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -336,11 +347,24 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -936,6 +960,17 @@ mod tests {
             let err = Json::parse(bad).unwrap_err();
             assert!(!err.to_string().is_empty(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Deep enough to overflow the stack without the cap.
+        assert!(Json::parse(&"[".repeat(300_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(300_000)).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic replay: recorded simulator traces drive the bare cores.
 //!
 //! For each of the four protocols, a simulator run is recorded through
-//! [`SimDriver::traced`] — every poll's input, pre-poll RNG state and
+//! [`Traced`] cores — every poll's input, pre-poll RNG state and
 //! emitted effects, in delivery order — and then replayed through a fresh
 //! set of bare [`ProtocolCore`]s with no simulator involved. The emitted
 //! mailbox effects must match the recording event for event; any drift
@@ -13,7 +13,7 @@ use fnp_diffusion::{AdParams, AdaptiveDiffusionNode};
 use fnp_gossip::{DandelionNode, DandelionParams, FloodNode, StemLine};
 use fnp_groups::form_groups;
 use fnp_netsim::{topology, Graph, NodeId, SimConfig, Simulator};
-use fnp_proto::{replay_trace, SimDriver, TraceHandle};
+use fnp_proto::{replay_trace, TraceHandle, Traced};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,11 +35,13 @@ fn flood_replays_exactly() {
     let graph = overlay(n, 11);
     let trace = TraceHandle::new();
     let nodes = (0..n)
-        .map(|_| SimDriver::traced(FloodNode::new(), trace.clone()))
+        .map(|_| Traced::new(FloodNode::new(), trace.clone()))
         .collect();
     let mut sim = Simulator::new(graph.clone(), nodes, sim_config(11));
-    sim.trigger(NodeId::new(3), |driver, ctx| {
-        driver.drive(ctx, |node, view, out| node.start_broadcast(7, view, out));
+    sim.trigger(NodeId::new(3), |traced, view, out| {
+        traced.external(view, out, |node, view, out| {
+            node.start_broadcast(7, view, out)
+        });
     });
     let metrics = sim.run();
     assert_eq!(metrics.coverage(), 1.0);
@@ -59,11 +61,13 @@ fn replay_detects_divergence() {
     let graph = overlay(n, 12);
     let trace = TraceHandle::new();
     let nodes = (0..n)
-        .map(|_| SimDriver::traced(FloodNode::new(), trace.clone()))
+        .map(|_| Traced::new(FloodNode::new(), trace.clone()))
         .collect();
     let mut sim = Simulator::new(graph.clone(), nodes, sim_config(12));
-    sim.trigger(NodeId::new(0), |driver, ctx| {
-        driver.drive(ctx, |node, view, out| node.start_broadcast(7, view, out));
+    sim.trigger(NodeId::new(0), |traced, view, out| {
+        traced.external(view, out, |node, view, out| {
+            node.start_broadcast(7, view, out)
+        });
     });
     sim.run();
 
@@ -94,15 +98,17 @@ fn dandelion_replays_exactly() {
     let trace = TraceHandle::new();
     let nodes = (0..n)
         .map(|i| {
-            SimDriver::traced(
+            Traced::new(
                 DandelionNode::new(params, line.successor(NodeId::new(i))),
                 trace.clone(),
             )
         })
         .collect();
     let mut sim = Simulator::new(graph.clone(), nodes, sim_config(21));
-    sim.trigger(NodeId::new(5), |driver, ctx| {
-        driver.drive(ctx, |node, view, out| node.start_broadcast(9, view, out));
+    sim.trigger(NodeId::new(5), |traced, view, out| {
+        traced.external(view, out, |node, view, out| {
+            node.start_broadcast(9, view, out)
+        });
     });
     let metrics = sim.run();
     assert_eq!(metrics.coverage(), 1.0);
@@ -127,11 +133,11 @@ fn adaptive_diffusion_replays_exactly() {
     };
     let trace = TraceHandle::new();
     let nodes = (0..n)
-        .map(|_| SimDriver::traced(AdaptiveDiffusionNode::new(params), trace.clone()))
+        .map(|_| Traced::new(AdaptiveDiffusionNode::new(params), trace.clone()))
         .collect();
     let mut sim = Simulator::new(graph.clone(), nodes, sim_config(31));
-    sim.trigger(NodeId::new(2), |driver, ctx| {
-        driver.drive(ctx, |node, view, out| node.start_broadcast(view, out));
+    sim.trigger(NodeId::new(2), |traced, view, out| {
+        traced.external(view, out, |node, view, out| node.start_broadcast(view, out));
     });
     sim.run();
 
@@ -180,12 +186,12 @@ fn flexible_protocol_replays_exactly() {
     let trace = TraceHandle::new();
     let nodes = build_cores()
         .into_iter()
-        .map(|core| SimDriver::traced(core, trace.clone()))
+        .map(|core| Traced::new(core, trace.clone()))
         .collect();
     let mut sim = Simulator::new(graph.clone(), nodes, sim_config(seed));
     let start_payload = payload.clone();
-    sim.trigger(NodeId::new(7), |driver, ctx| {
-        driver.drive(ctx, move |node, view, out| {
+    sim.trigger(NodeId::new(7), |traced, view, out| {
+        traced.external(view, out, move |node, view, out| {
             node.start_broadcast(start_payload, view, out);
         });
     });

@@ -19,7 +19,6 @@ use fnp_diffusion::{AdParams, AdaptiveDiffusionNode};
 use fnp_gossip::{DandelionParams, StemLine};
 use fnp_groups::{form_groups, FormationError, Group};
 use fnp_netsim::{Graph, Metrics, NodeId, SimConfig, Simulator, TrialArena};
-use fnp_proto::SimDriver;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
@@ -250,23 +249,19 @@ pub fn run_flexible_broadcast_in(
         scratch: Rc::clone(&scratch),
     }));
 
-    let mut nodes: Vec<SimDriver<FlexNode>> = arena.take_nodes();
-    nodes.extend(memberships.into_iter().map(|membership| {
-        SimDriver::new(FlexNode::with_scratch(
-            config,
-            membership,
-            Rc::clone(&scratch),
-        ))
-    }));
+    let mut nodes: Vec<FlexNode> = arena.take_nodes();
+    nodes.extend(
+        memberships
+            .into_iter()
+            .map(|membership| FlexNode::with_scratch(config, membership, Rc::clone(&scratch))),
+    );
 
     let mut traced_config = sim_config;
     traced_config.record_trace = true;
     let mut sim = Simulator::new_in(arena, graph, nodes, traced_config);
     // `trigger` takes a `FnOnce`, so the payload can be moved in directly.
-    sim.trigger(origin, |driver, ctx| {
-        driver.drive(ctx, move |node, view, out| {
-            node.start_broadcast(payload, view, out);
-        });
+    sim.trigger(origin, move |node, view, out| {
+        node.start_broadcast(payload, view, out);
     });
     sim.run();
     let (nodes, metrics) = sim.into_parts_in(arena);
@@ -385,14 +380,10 @@ pub fn run_protocol_in(
         }
         ProtocolKind::AdaptiveDiffusion(params) => {
             let node_count = graph.node_count();
-            let mut nodes: Vec<SimDriver<AdaptiveDiffusionNode>> = arena.take_nodes();
-            nodes.extend(
-                (0..node_count).map(|_| SimDriver::new(AdaptiveDiffusionNode::new(params))),
-            );
+            let mut nodes: Vec<AdaptiveDiffusionNode> = arena.take_nodes();
+            nodes.extend((0..node_count).map(|_| AdaptiveDiffusionNode::new(params)));
             let mut sim = Simulator::new_in(arena, graph, nodes, traced);
-            sim.trigger(origin, |driver, ctx| {
-                driver.drive(ctx, |node, view, out| node.start_broadcast(view, out));
-            });
+            sim.trigger(origin, |node, view, out| node.start_broadcast(view, out));
             sim.run();
             let (nodes, metrics) = sim.into_parts_in(arena);
             arena.store_nodes(nodes);

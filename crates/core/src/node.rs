@@ -179,11 +179,10 @@ impl FlexNode {
 
     /// Queues `payload` for anonymous broadcast from this node.
     ///
-    /// Under the simulator, call through [`fnp_netsim::Simulator::trigger`]
-    /// and [`SimDriver::drive`](fnp_proto::SimDriver::drive). The payload is
-    /// injected into the next DC-net round of the node's group; if the node
-    /// belongs to no group it falls back to flood-and-prune directly (no
-    /// anonymity, but delivery is preserved).
+    /// Under the simulator, call through [`fnp_netsim::Simulator::trigger`].
+    /// The payload is injected into the next DC-net round of the node's
+    /// group; if the node belongs to no group it falls back to
+    /// flood-and-prune directly (no anonymity, but delivery is preserved).
     pub fn start_broadcast(
         &mut self,
         payload: Vec<u8>,
@@ -760,13 +759,11 @@ mod tests {
         use fnp_netsim::{topology, SimConfig, Simulator};
         let graph = topology::ring(10).unwrap();
         let nodes = (0..10)
-            .map(|_| fnp_proto::SimDriver::new(FlexNode::new(FlexConfig::default(), None)))
+            .map(|_| FlexNode::new(FlexConfig::default(), None))
             .collect();
         let mut sim = Simulator::new(graph, nodes, SimConfig::default());
-        sim.trigger(NodeId::new(0), |driver, ctx| {
-            driver.drive(ctx, |node, view, out| {
-                node.start_broadcast(b"tx".to_vec(), view, out);
-            });
+        sim.trigger(NodeId::new(0), |node, view, out| {
+            node.start_broadcast(b"tx".to_vec(), view, out);
         });
         let metrics = sim.run();
         assert_eq!(metrics.coverage(), 1.0);

@@ -10,8 +10,8 @@
 //!   including the regular-tree formula of Fanti et al. and degenerate
 //!   schedules for ablations.
 //! * [`protocol`] — the [`AdaptiveDiffusionNode`] state machine (infection
-//!   tree, token transfers, spread waves), simulator-driven through
-//!   [`fnp_proto::SimDriver`].
+//!   tree, token transfers, spread waves), polled directly by the
+//!   [`fnp_netsim::Simulator`].
 //! * [`report`] — a convenience runner producing the message-count figures
 //!   of the paper's §V-A (experiment E6).
 //!

@@ -175,8 +175,7 @@ impl AdaptiveDiffusionNode {
     }
 
     /// Starts a broadcast from this node. Under the simulator, call through
-    /// [`fnp_netsim::Simulator::trigger`] +
-    /// [`SimDriver::drive`](fnp_proto::SimDriver::drive) on the origin node.
+    /// [`fnp_netsim::Simulator::trigger`] on the origin node.
     ///
     /// Following Fanti et al., the origin infects one random neighbour and
     /// immediately hands it the virtual-source token, so the origin itself
@@ -412,7 +411,6 @@ impl SteadyProtocol for AdaptiveDiffusionNode {
 mod tests {
     use super::*;
     use fnp_netsim::{topology, LatencyModel, SimConfig, Simulator};
-    use fnp_proto::SimDriver;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -421,15 +419,10 @@ mod tests {
         degree: usize,
         params: AdParams,
         seed: u64,
-    ) -> (
-        Simulator<SimDriver<AdaptiveDiffusionNode>>,
-        fnp_netsim::Metrics,
-    ) {
+    ) -> (Simulator<AdaptiveDiffusionNode>, fnp_netsim::Metrics) {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = topology::random_regular(n, degree, &mut rng).unwrap();
-        let nodes = (0..n)
-            .map(|_| SimDriver::new(AdaptiveDiffusionNode::new(params)))
-            .collect();
+        let nodes = (0..n).map(|_| AdaptiveDiffusionNode::new(params)).collect();
         let mut sim = Simulator::new(
             graph,
             nodes,
@@ -443,8 +436,8 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        sim.trigger(NodeId::new(0), |driver, ctx| {
-            driver.drive(ctx, |node, view, out| node.start_broadcast(view, out));
+        sim.trigger(NodeId::new(0), |node, view, out| {
+            node.start_broadcast(view, out)
         });
         let metrics = sim.run().clone();
         (sim, metrics)
@@ -630,12 +623,10 @@ mod tests {
     #[test]
     fn isolated_origin_does_not_panic() {
         let graph = fnp_netsim::Graph::new(1);
-        let nodes = vec![SimDriver::new(AdaptiveDiffusionNode::new(
-            AdParams::default(),
-        ))];
+        let nodes = vec![AdaptiveDiffusionNode::new(AdParams::default())];
         let mut sim = Simulator::new(graph, nodes, SimConfig::default());
-        sim.trigger(NodeId::new(0), |driver, ctx| {
-            driver.drive(ctx, |node, view, out| node.start_broadcast(view, out));
+        sim.trigger(NodeId::new(0), |node, view, out| {
+            node.start_broadcast(view, out)
         });
         let metrics = sim.run();
         assert_eq!(metrics.delivered_count(), 1);

@@ -11,7 +11,6 @@
 
 use crate::protocol::{AdParams, AdaptiveDiffusionNode};
 use fnp_netsim::{Graph, Metrics, NodeId, SimConfig, Simulator, TrialArena};
-use fnp_proto::SimDriver;
 
 /// Result of one adaptive diffusion run.
 #[derive(Clone, Debug)]
@@ -92,12 +91,10 @@ pub fn run_adaptive_diffusion_in(
 ) -> DiffusionReport {
     config.record_trace = true;
     let node_count = graph.node_count();
-    let mut nodes: Vec<SimDriver<AdaptiveDiffusionNode>> = arena.take_nodes();
-    nodes.extend((0..node_count).map(|_| SimDriver::new(AdaptiveDiffusionNode::new(params))));
+    let mut nodes: Vec<AdaptiveDiffusionNode> = arena.take_nodes();
+    nodes.extend((0..node_count).map(|_| AdaptiveDiffusionNode::new(params)));
     let mut sim = Simulator::new_in(arena, graph, nodes, config);
-    sim.trigger(origin, |driver, ctx| {
-        driver.drive(ctx, |node, view, out| node.start_broadcast(view, out));
-    });
+    sim.trigger(origin, |node, view, out| node.start_broadcast(view, out));
     let mut messages_at_full_coverage = None;
     while sim.step() {
         if messages_at_full_coverage.is_none() && sim.metrics().coverage() >= 1.0 {

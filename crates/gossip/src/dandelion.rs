@@ -18,7 +18,7 @@
 //! ([`StemLine::rerandomize`]).
 
 use fnp_netsim::{Graph, Metrics, NodeId, Payload, SimConfig, Simulator, TrialArena};
-use fnp_proto::{Input, Mailbox, NodeView, ProtocolCore, SimDriver, SteadyProtocol};
+use fnp_proto::{Input, Mailbox, NodeView, ProtocolCore, SteadyProtocol};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -311,18 +311,14 @@ pub fn run_dandelion_in(
         line.len(),
         "stem line must cover exactly the overlay nodes"
     );
-    let mut nodes: Vec<SimDriver<DandelionNode>> = arena.take_nodes();
-    nodes.extend((0..graph.node_count()).map(|index| {
-        SimDriver::new(DandelionNode::new(
-            params,
-            line.successor(NodeId::new(index)),
-        ))
-    }));
+    let mut nodes: Vec<DandelionNode> = arena.take_nodes();
+    nodes.extend(
+        (0..graph.node_count())
+            .map(|index| DandelionNode::new(params, line.successor(NodeId::new(index)))),
+    );
     let mut sim = Simulator::new_in(arena, graph, nodes, config);
-    sim.trigger(origin, |driver, ctx| {
-        driver.drive(ctx, |node, view, out| {
-            node.start_broadcast(tx_id, view, out)
-        });
+    sim.trigger(origin, |node, view, out| {
+        node.start_broadcast(tx_id, view, out)
     });
     sim.run();
     let (nodes, metrics) = sim.into_parts_in(arena);

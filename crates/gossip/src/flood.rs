@@ -10,7 +10,7 @@
 //! Fig. 2 and experiment E2).
 
 use fnp_netsim::{Graph, Metrics, NodeId, Payload, SimConfig, Simulator, TrialArena};
-use fnp_proto::{Input, Mailbox, NodeView, ProtocolCore, SimDriver, SteadyProtocol};
+use fnp_proto::{Input, Mailbox, NodeView, ProtocolCore, SteadyProtocol};
 
 /// Wire size reported for a flooded transaction.
 const TX_BYTES: usize = 256;
@@ -58,8 +58,7 @@ impl FloodNode {
     }
 
     /// Starts a broadcast of transaction `tx_id` from this node. Under the
-    /// simulator, call via [`Simulator::trigger`] +
-    /// [`SimDriver::drive`] on the origin.
+    /// simulator, call via [`Simulator::trigger`] on the origin.
     pub fn start_broadcast(
         &mut self,
         tx_id: u64,
@@ -122,13 +121,11 @@ pub fn run_flood_in(
     tx_id: u64,
     config: SimConfig,
 ) -> Metrics {
-    let mut nodes: Vec<SimDriver<FloodNode>> = arena.take_nodes();
-    nodes.extend((0..graph.node_count()).map(|_| SimDriver::new(FloodNode::new())));
+    let mut nodes: Vec<FloodNode> = arena.take_nodes();
+    nodes.extend((0..graph.node_count()).map(|_| FloodNode::new()));
     let mut sim = Simulator::new_in(arena, graph, nodes, config);
-    sim.trigger(origin, |driver, ctx| {
-        driver.drive(ctx, |node, view, out| {
-            node.start_broadcast(tx_id, view, out)
-        });
+    sim.trigger(origin, |node, view, out| {
+        node.start_broadcast(tx_id, view, out)
     });
     sim.run();
     let (nodes, metrics) = sim.into_parts_in(arena);
@@ -188,10 +185,10 @@ mod tests {
     #[test]
     fn origin_is_marked() {
         let graph = topology::line(3).unwrap();
-        let nodes = (0..3).map(|_| SimDriver::new(FloodNode::new())).collect();
+        let nodes = (0..3).map(|_| FloodNode::new()).collect();
         let mut sim = Simulator::new(graph, nodes, SimConfig::default());
-        sim.trigger(NodeId::new(1), |driver, ctx| {
-            driver.drive(ctx, |node, view, out| node.start_broadcast(9, view, out));
+        sim.trigger(NodeId::new(1), |node, view, out| {
+            node.start_broadcast(9, view, out)
         });
         sim.run();
         assert!(sim.node(NodeId::new(1)).is_origin());
@@ -225,13 +222,11 @@ mod tests {
     #[test]
     fn double_start_is_idempotent() {
         let graph = topology::line(2).unwrap();
-        let nodes = (0..2).map(|_| SimDriver::new(FloodNode::new())).collect();
+        let nodes = (0..2).map(|_| FloodNode::new()).collect();
         let mut sim = Simulator::new(graph, nodes, SimConfig::default());
-        sim.trigger(NodeId::new(0), |driver, ctx| {
-            driver.drive(ctx, |node, view, out| {
-                node.start_broadcast(1, view, out);
-                node.start_broadcast(1, view, out);
-            });
+        sim.trigger(NodeId::new(0), |node, view, out| {
+            node.start_broadcast(1, view, out);
+            node.start_broadcast(1, view, out);
         });
         let metrics = sim.run();
         // Node 0 sends once to node 1; node 1 has no other neighbour to

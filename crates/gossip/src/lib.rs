@@ -11,8 +11,8 @@
 //!   broadcast, with per-epoch re-randomisation of the stem line.
 //!
 //! Both are implemented as sans-IO [`fnp_proto::ProtocolCore`] state
-//! machines (driven in the simulator through [`fnp_proto::SimDriver`])
-//! plus one-call runners used by the experiment harness.
+//! machines (polled directly by the [`fnp_netsim::Simulator`]) plus
+//! one-call runners used by the experiment harness.
 //!
 //! # Example
 //!

@@ -14,8 +14,8 @@
 //! flags (64 nodes per cache word — the whole lane of a 10⁶-node overlay
 //! fits in L2), one `Vec<u8>` of phase tags and one `Vec<u32>` of per-node
 //! counters, indexed by [`NodeId::index`]. Protocols read and write *their own*
-//! node's slots through the [`Context`](crate::Context) accessors
-//! ([`Context::seen`](crate::Context::seen) and friends), preserving the
+//! node's slots through the [`HotLanes`](crate::HotLanes) view the
+//! simulator's [`Context`](crate::Context) implements, preserving the
 //! distributed-system abstraction: no state machine can peek at another
 //! node's lanes mid-run. After a run the whole layout is inspectable via
 //! [`Simulator::hot`](crate::Simulator::hot).

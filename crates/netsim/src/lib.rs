@@ -10,9 +10,12 @@
 //! * [`graph`] / [`topology`] — the overlay graph and generators for the
 //!   standard topology families (random regular "Bitcoin-like" overlays,
 //!   Erdős–Rényi, Watts–Strogatz, Barabási–Albert, rings, lines, trees…).
-//! * [`sim`] — the deterministic discrete-event simulator. Protocols are
-//!   [`ProtocolNode`] state machines reacting to messages and timers via a
-//!   [`Context`] handle.
+//! * [`ProtocolCore`] / [`Mailbox`] / [`NodeView`] — the sans-IO protocol
+//!   API: a core takes one [`Input`] at a time, reads its environment
+//!   through a [`NodeView`] and pushes [`Effect`]s into a [`Mailbox`].
+//! * [`sim`] — the deterministic discrete-event simulator. It polls one
+//!   [`ProtocolCore`] per node with a [`Context`] as the view and applies
+//!   the effects from its single mailbox.
 //! * [`latency`] — link-latency models (constant, uniform, exponential).
 //! * [`metrics`] — per-run aggregates (message/byte counts by kind,
 //!   delivery times, coverage latency) and the full transmission trace the
@@ -40,7 +43,8 @@
 //!
 //! ```
 //! use fnp_netsim::{
-//!     topology, Context, LatencyModel, NodeId, Payload, ProtocolNode, SimConfig, Simulator,
+//!     topology, HotLanes, Input, Mailbox, NodeId, NodeView, Payload, ProtocolCore, SimConfig,
+//!     Simulator,
 //! };
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -50,26 +54,27 @@
 //!     fn kind(&self) -> &'static str { "tx" }
 //! }
 //!
-//! #[derive(Default)]
-//! struct Flooder { seen: bool }
-//! impl ProtocolNode for Flooder {
+//! struct Flooder;
+//! impl ProtocolCore for Flooder {
 //!     type Message = Tx;
-//!     fn on_message(&mut self, from: NodeId, msg: Tx, ctx: &mut Context<'_, Tx>) {
-//!         if !std::mem::replace(&mut self.seen, true) {
-//!             ctx.mark_delivered();
-//!             ctx.send_to_neighbors_except(msg, &[from]);
+//!     fn poll<V: NodeView>(&mut self, input: Input<Tx>, view: &mut V, out: &mut Mailbox<Tx>) {
+//!         if let Input::Message { from, message } = input {
+//!             if !view.set_seen() {
+//!                 out.deliver();
+//!                 out.broadcast(message, &[from]);
+//!             }
 //!         }
 //!     }
 //! }
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let graph = topology::random_regular(100, 8, &mut rng)?;
-//! let nodes = (0..100).map(|_| Flooder::default()).collect();
+//! let nodes = (0..100).map(|_| Flooder).collect();
 //! let mut sim = Simulator::new(graph, nodes, SimConfig::default());
-//! sim.trigger(NodeId::new(0), |node, ctx| {
-//!     node.seen = true;
-//!     ctx.mark_delivered();
-//!     ctx.send_to_neighbors_except(Tx, &[]);
+//! sim.trigger(NodeId::new(0), |_core, view, out| {
+//!     view.set_seen();
+//!     out.deliver();
+//!     out.broadcast(Tx, &[]);
 //! });
 //! let metrics = sim.run();
 //! assert_eq!(metrics.coverage(), 1.0);
@@ -89,10 +94,12 @@ pub mod arena;
 pub mod arrival;
 pub mod bits;
 pub mod churn;
+mod core;
 pub mod graph;
 pub mod hot;
 pub mod lanes;
 pub mod latency;
+mod mailbox;
 pub mod message;
 pub mod metrics;
 pub mod node;
@@ -101,24 +108,28 @@ pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod topology;
+mod view;
 mod wheel;
 
 pub use arena::TrialArena;
 pub use arrival::{poisson_arrivals, validate_rate, ArrivalRateError};
 pub use bits::BitSet;
 pub use churn::{ChurnSchedule, NodeOutage};
+pub use core::ProtocolCore;
 pub use graph::{DiameterEstimator, Graph, GraphBuilder, EXACT_DIAMETER_MAX_NODES};
 pub use hot::HotState;
 pub use lanes::LanePool;
 pub use latency::{InvalidLatencyModel, LatencyModel, EXPONENTIAL_JITTER_CAP};
+pub use mailbox::{Effect, Input, Mailbox};
 pub use message::{Payload, TestPayload};
 pub use metrics::{KindId, KindRegistry, Metrics, TraceEntry};
 pub use node::NodeId;
 pub use runner::{derive_seed, GridPlan, TrialPlan, TrialRunner};
-pub use sim::{Context, ProtocolNode, SimConfig, Simulator};
+pub use sim::{Context, SimConfig, Simulator};
 pub use stats::{entropy_bits, percentile, summarize, Summary};
 pub use time::{as_millis, from_millis, SimTime, MILLISECOND, SECOND};
 pub use topology::{GenerateTopologyError, Topology};
+pub use view::{HotLanes, NodeView};
 
 #[cfg(test)]
 mod proptests {
@@ -182,17 +193,19 @@ mod proptests {
         ) {
             #[derive(Default)]
             struct Flooder { seen: bool }
-            impl ProtocolNode for Flooder {
+            impl ProtocolCore for Flooder {
                 type Message = TestPayload;
-                fn on_message(
+                fn poll<V: NodeView>(
                     &mut self,
-                    from: NodeId,
-                    msg: TestPayload,
-                    ctx: &mut Context<'_, TestPayload>,
+                    input: Input<TestPayload>,
+                    _view: &mut V,
+                    out: &mut Mailbox<TestPayload>,
                 ) {
-                    if !std::mem::replace(&mut self.seen, true) {
-                        ctx.mark_delivered();
-                        ctx.send_to_neighbors_except(msg, &[from]);
+                    if let Input::Message { from, message } = input {
+                        if !std::mem::replace(&mut self.seen, true) {
+                            out.deliver();
+                            out.broadcast(message, &[from]);
+                        }
                     }
                 }
             }
@@ -204,10 +217,10 @@ mod proptests {
             let origin = NodeId::new(origin % n);
             let nodes = (0..n).map(|_| Flooder::default()).collect();
             let mut sim = Simulator::new(graph, nodes, SimConfig { seed, ..SimConfig::default() });
-            sim.trigger(origin, |node, ctx| {
+            sim.trigger(origin, |node, _view, out| {
                 node.seen = true;
-                ctx.mark_delivered();
-                ctx.send_to_neighbors_except(TestPayload::new("flood", 1), &[]);
+                out.deliver();
+                out.broadcast(TestPayload::new("flood", 1), &[]);
             });
             prop_assert_eq!(sim.run().coverage(), 1.0);
         }

@@ -10,7 +10,8 @@
 //! randomness (link-latency sampling, fan-out iteration) consumes the
 //! driver's RNG in that order.
 
-use fnp_netsim::{NodeId, SimTime};
+use crate::node::NodeId;
+use crate::time::SimTime;
 
 /// One event delivered to a protocol core.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,10 +34,9 @@ pub enum Input<M> {
 
 /// One deferred action emitted by a protocol core.
 ///
-/// Mirrors the action vocabulary of the simulator's
-/// [`Context`](fnp_netsim::Context) so the simulator driver can translate
-/// effects one-to-one (keeping runs byte-identical to the pre-sans-IO
-/// implementation), while remaining meaningful to any other driver: a real
+/// The one effect vocabulary of the workspace: the
+/// [`Simulator`](crate::Simulator) applies effects straight from its
+/// mailbox, and any other driver gives them its own meaning — a real
 /// transport maps `Send`/`Broadcast` to socket writes and `SetTimer` to its
 /// timer wheel.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -208,7 +208,7 @@ pub struct Metrics {
     /// Bytes grouped by interned payload kind (same registry/order as
     /// `messages_per_kind`).
     bytes_per_kind: Vec<u64>,
-    /// Custom protocol counters recorded via `Context::record`.
+    /// Custom protocol counters recorded via `Mailbox::record`.
     custom: KindCounters,
     /// For each node, the time it first marked the broadcast as delivered.
     pub delivered_at: Vec<Option<SimTime>>,
@@ -314,7 +314,7 @@ impl Metrics {
             .collect()
     }
 
-    /// Custom protocol counters recorded via `Context::record` (view, built
+    /// Custom protocol counters recorded via `Mailbox::record` (view, built
     /// on demand).
     pub fn counters(&self) -> BTreeMap<&'static str, u64> {
         self.custom.as_map()

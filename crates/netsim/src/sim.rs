@@ -1,13 +1,13 @@
 //! The discrete-event simulator.
 //!
-//! A [`Simulator`] owns a connected overlay [`Graph`], one protocol state
-//! machine per node, a [`LatencyModel`] and an event queue. Protocols are
-//! written as implementations of [`ProtocolNode`]: plain state machines that
-//! react to message and timer events through a [`Context`] handle, exactly
-//! the way a real networked node reacts to socket readiness and timeouts.
-//! The simulator delivers every scheduled event in timestamp order, so a
-//! whole experiment — thousands of broadcasts over thousands of nodes — is
-//! deterministic under a fixed seed.
+//! A [`Simulator`] owns a connected overlay [`Graph`], one [`ProtocolCore`]
+//! per node, a [`LatencyModel`] and an event queue. Each delivered message,
+//! fired timer or external trigger is one poll: the simulator hands the
+//! node's core the [`Input`], a [`Context`] as its [`NodeView`] and the
+//! simulator's single [`Mailbox`], then applies the emitted [`Effect`]s in
+//! emission order straight from that mailbox. The simulator delivers every
+//! scheduled event in timestamp order, so a whole experiment — thousands of
+//! broadcasts over thousands of nodes — is deterministic under a fixed seed.
 //!
 //! # Examples
 //!
@@ -15,7 +15,7 @@
 //!
 //! ```
 //! use fnp_netsim::{
-//!     Context, Graph, LatencyModel, NodeId, Payload, ProtocolNode, SimConfig, Simulator,
+//!     Graph, Input, Mailbox, NodeId, NodeView, Payload, ProtocolCore, SimConfig, Simulator,
 //! };
 //!
 //! #[derive(Clone, Debug)]
@@ -25,19 +25,21 @@
 //! }
 //!
 //! struct Node;
-//! impl ProtocolNode for Node {
+//! impl ProtocolCore for Node {
 //!     type Message = Ping;
-//!     fn on_message(&mut self, _from: NodeId, _msg: Ping, ctx: &mut Context<'_, Ping>) {
-//!         ctx.mark_delivered();
+//!     fn poll<V: NodeView>(&mut self, input: Input<Ping>, _view: &mut V, out: &mut Mailbox<Ping>) {
+//!         if let Input::Message { .. } = input {
+//!             out.deliver();
+//!         }
 //!     }
 //! }
 //!
 //! let mut graph = Graph::new(2);
 //! graph.add_edge(NodeId::new(0), NodeId::new(1));
 //! let mut sim = Simulator::new(graph, vec![Node, Node], SimConfig::default());
-//! sim.trigger(NodeId::new(0), |_node, ctx| {
-//!     let peer = ctx.neighbors()[0];
-//!     ctx.send(peer, Ping);
+//! sim.trigger(NodeId::new(0), |_core, view, out| {
+//!     let peer = view.neighbors()[0];
+//!     out.send(peer, Ping);
 //! });
 //! let metrics = sim.run();
 //! assert_eq!(metrics.messages_sent, 1);
@@ -46,13 +48,16 @@
 
 use crate::arena::TrialArena;
 use crate::churn::ChurnSchedule;
+use crate::core::ProtocolCore;
 use crate::graph::Graph;
 use crate::hot::HotState;
 use crate::latency::LatencyModel;
+use crate::mailbox::{Effect, Input, Mailbox};
 use crate::message::Payload;
 use crate::metrics::{Metrics, TraceEntry};
 use crate::node::NodeId;
 use crate::time::SimTime;
+use crate::view::{HotLanes, NodeView};
 use crate::wheel::{self, TimeWheel, WheelItem};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,215 +96,68 @@ impl Default for SimConfig {
     }
 }
 
-/// Handle through which a protocol state machine interacts with the world.
+/// The simulator's [`NodeView`]: one node's read-side environment for the
+/// duration of one poll.
 ///
-/// A context is only valid for the duration of one event handler; every
-/// action it records (sends, timers, deliveries, counters) is applied by the
-/// simulator when the handler returns.
+/// It reads the overlay, the clock and the run RNG, and reaches the node's
+/// own slots of the simulator's [`HotState`] lanes. Effects do not go
+/// through it: the core pushes them into the simulator's [`Mailbox`],
+/// which the simulator applies once the poll returns.
 #[derive(Debug)]
-pub struct Context<'a, M> {
+pub struct Context<'a> {
     node: NodeId,
     now: SimTime,
     neighbors: &'a [NodeId],
     node_count: usize,
     rng: &'a mut StdRng,
     hot: &'a mut HotState,
-    actions: &'a mut Vec<Action<M>>,
 }
 
-#[derive(Debug)]
-pub(crate) enum Action<M> {
-    Send {
-        to: NodeId,
-        message: M,
-    },
-    /// One message fanned out to every neighbour not in `excluded`; the
-    /// payload is shared (reference-counted) between the in-flight copies
-    /// instead of deep-cloned per target.
-    Broadcast {
-        message: M,
-        excluded: Vec<NodeId>,
-    },
-    Timer {
-        delay: SimTime,
-        tag: u64,
-    },
-    Deliver,
-    Counter {
-        name: &'static str,
-        amount: u64,
-    },
-}
-
-impl<'a, M> Context<'a, M> {
-    /// The node this handler is running on.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Overlay neighbours of this node, in deterministic (sorted) order.
-    pub fn neighbors(&self) -> &[NodeId] {
-        self.neighbors
-    }
-
-    /// Total number of nodes in the simulated network.
-    pub fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    /// The simulation-wide random number generator.
-    ///
-    /// All protocol randomness must come from this generator to keep runs
-    /// reproducible under a fixed [`SimConfig::seed`].
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
-
-    /// Sends `message` to `to`. The simulator samples the link latency and
-    /// delivers the message via the recipient's
-    /// [`ProtocolNode::on_message`].
-    pub fn send(&mut self, to: NodeId, message: M) {
-        self.actions.push(Action::Send { to, message });
-    }
-
-    /// Sends `message` to every overlay neighbour except those in
-    /// `excluded`.
-    ///
-    /// The payload is *shared* between the in-flight copies: the simulator
-    /// queues one reference-counted instance and only clones it at delivery
-    /// time when a recipient other than the last needs ownership, so a
-    /// degree-`d` fan-out costs `d − 1` clones instead of `d` and keeps a
-    /// single copy in the event queue.
-    pub fn send_to_neighbors_except(&mut self, message: M, excluded: &[NodeId])
-    where
-        M: Clone,
-    {
-        self.broadcast_except(message, excluded.to_vec());
-    }
-
-    /// Like [`Context::send_to_neighbors_except`], but takes ownership of
-    /// the exclusion list — the zero-copy entry point for adapters (such as
-    /// the sans-IO mailbox driver) that already hold an owned `Vec`.
-    pub fn broadcast_except(&mut self, message: M, excluded: Vec<NodeId>)
-    where
-        M: Clone,
-    {
-        self.actions.push(Action::Broadcast { message, excluded });
-    }
-
-    /// Schedules [`ProtocolNode::on_timer`] on this node after `delay`.
-    pub fn set_timer(&mut self, delay: SimTime, tag: u64) {
-        self.actions.push(Action::Timer { delay, tag });
-    }
-
-    /// Marks this node as having received (accepted) the broadcast payload.
-    ///
-    /// The first call per node is recorded in
-    /// [`Metrics::delivered_at`](crate::metrics::Metrics); later calls are
-    /// ignored.
-    pub fn mark_delivered(&mut self) {
-        self.actions.push(Action::Deliver);
-    }
-
-    /// Increments a custom experiment counter by 1.
-    pub fn record(&mut self, name: &'static str) {
-        self.record_many(name, 1);
-    }
-
-    /// Increments a custom experiment counter by `amount`.
-    pub fn record_many(&mut self, name: &'static str, amount: u64) {
-        self.actions.push(Action::Counter { name, amount });
-    }
-
-    // ------------------------------------------------------------------
-    // Hot-lane accessors (struct-of-arrays per-node state; see `hot`)
-    // ------------------------------------------------------------------
-
-    /// This node's seen flag (hot lane; see [`HotState`]).
-    ///
-    /// Protocols use this for the duplicate-suppression check at the top of
-    /// their message handlers — the hottest read of the whole event loop —
-    /// so it lives in a dense slice instead of the node struct.
-    pub fn seen(&self) -> bool {
+impl HotLanes for Context<'_> {
+    fn seen(&self) -> bool {
         self.hot.seen(self.node)
     }
 
-    /// Sets this node's seen flag, returning the previous value.
-    ///
-    /// `if ctx.set_seen() { return; }` is the idiomatic prune check: it
-    /// marks and tests in one lane access.
-    pub fn set_seen(&mut self) -> bool {
+    fn set_seen(&mut self) -> bool {
         self.hot.set_seen(self.node)
     }
 
-    /// This node's phase tag (hot lane; see [`HotState`]).
-    pub fn phase(&self) -> u8 {
+    fn phase(&self) -> u8 {
         self.hot.phase(self.node)
     }
 
-    /// Sets this node's phase tag.
-    pub fn set_phase(&mut self, phase: u8) {
+    fn set_phase(&mut self, phase: u8) {
         self.hot.set_phase(self.node, phase);
     }
 
-    /// This node's hot counter slot (see [`HotState`]).
-    pub fn counter_lane(&self) -> u32 {
+    fn counter_lane(&self) -> u32 {
         self.hot.counter(self.node)
     }
 
-    /// Sets this node's hot counter slot.
-    pub fn set_counter_lane(&mut self, value: u32) {
+    fn set_counter_lane(&mut self, value: u32) {
         self.hot.set_counter(self.node, value);
-    }
-
-    /// Whether a spread wave of `round` (or a later one) was already
-    /// processed on this node.
-    ///
-    /// Wave-dedup protocols store the highest processed round in the
-    /// counter lane encoded as `round + 1` (`0` = none yet); this helper
-    /// and [`Context::mark_round_seen`] single-source that encoding so
-    /// call sites cannot drift off by one.
-    pub fn round_seen(&self, round: u32) -> bool {
-        self.counter_lane() > round
-    }
-
-    /// Records `round` as the highest spread-wave round processed on this
-    /// node (see [`Context::round_seen`] for the encoding).
-    pub fn mark_round_seen(&mut self, round: u32) {
-        self.set_counter_lane(round + 1);
     }
 }
 
-/// A per-node protocol state machine.
-///
-/// Implementations hold whatever per-node state the protocol needs (seen
-/// transaction sets, virtual-source flags, DC-net round state, …) and react
-/// to events through the [`Context`].
-pub trait ProtocolNode: Sized {
-    /// The message type this protocol exchanges.
-    type Message: Payload;
-
-    /// Called once per node before any event is processed.
-    fn on_init(&mut self, ctx: &mut Context<'_, Self::Message>) {
-        let _ = ctx;
+impl NodeView for Context<'_> {
+    fn node_id(&self) -> NodeId {
+        self.node
     }
 
-    /// Called when a message from `from` arrives at this node.
-    fn on_message(
-        &mut self,
-        from: NodeId,
-        message: Self::Message,
-        ctx: &mut Context<'_, Self::Message>,
-    );
+    fn now(&self) -> SimTime {
+        self.now
+    }
 
-    /// Called when a timer previously set via [`Context::set_timer`] fires.
-    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, Self::Message>) {
-        let _ = (tag, ctx);
+    fn neighbors(&self) -> &[NodeId] {
+        self.neighbors
+    }
+
+    fn node_count(&self) -> usize {
+        self.node_count
+    }
+
+    fn rng(&mut self) -> &mut StdRng {
+        self.rng
     }
 }
 
@@ -372,11 +230,11 @@ impl<M> WheelItem for Event<M> {
 /// The discrete-event simulator; see the [module documentation](self) for an
 /// overview and example.
 #[derive(Debug)]
-pub struct Simulator<N: ProtocolNode> {
+pub struct Simulator<C: ProtocolCore> {
     graph: Graph,
-    /// Cold per-node state: the protocol structs themselves (keys, buffers,
-    /// membership tables), touched only inside the owning node's handlers.
-    nodes: Vec<N>,
+    /// Cold per-node state: the protocol cores themselves (keys, buffers,
+    /// membership tables), touched only inside the owning node's polls.
+    nodes: Vec<C>,
     /// Hot per-node state in struct-of-arrays form: the seen/phase/counter
     /// lanes consulted on every event (see [`HotState`]).
     hot: HotState,
@@ -384,7 +242,10 @@ pub struct Simulator<N: ProtocolNode> {
     /// Pending events, ordered by `(at, seq)`. A bucketed time-wheel (see
     /// [`wheel`]) rather than one global heap: the bounded latency models
     /// let most pushes be O(1) bucket appends.
-    queue: TimeWheel<Event<N::Message>>,
+    queue: TimeWheel<Event<C::Message>>,
+    /// The one outbox every poll pushes into; drained in emission order
+    /// right after the poll, so its buffer is reused for the whole run.
+    mailbox: Mailbox<C::Message>,
     now: SimTime,
     seq: u64,
     rng: StdRng,
@@ -392,13 +253,13 @@ pub struct Simulator<N: ProtocolNode> {
     initialized: bool,
 }
 
-impl<N: ProtocolNode> Simulator<N> {
-    /// Creates a simulator over `graph` with one state machine per node.
+impl<C: ProtocolCore> Simulator<C> {
+    /// Creates a simulator over `graph` with one protocol core per node.
     ///
     /// # Panics
     ///
     /// Panics if `nodes.len()` differs from the number of graph nodes.
-    pub fn new(graph: Graph, nodes: Vec<N>, config: SimConfig) -> Self {
+    pub fn new(graph: Graph, nodes: Vec<C>, config: SimConfig) -> Self {
         let n = graph.node_count();
         Self::assemble(
             graph,
@@ -420,20 +281,17 @@ impl<N: ProtocolNode> Simulator<N> {
     /// # Panics
     ///
     /// Panics if `nodes.len()` differs from the number of graph nodes.
-    pub fn new_in(arena: &mut TrialArena, graph: Graph, nodes: Vec<N>, config: SimConfig) -> Self
-    where
-        N::Message: 'static,
-    {
+    pub fn new_in(arena: &mut TrialArena, graph: Graph, nodes: Vec<C>, config: SimConfig) -> Self {
         let n = graph.node_count();
-        let queue = arena.take_queue::<Event<N::Message>>();
+        let queue = arena.take_queue::<Event<C::Message>>();
         Self::assemble(graph, nodes, arena.hot(n), queue, arena.metrics(n), config)
     }
 
     fn assemble(
         graph: Graph,
-        nodes: Vec<N>,
+        nodes: Vec<C>,
         hot: HotState,
-        mut queue: TimeWheel<Event<N::Message>>,
+        mut queue: TimeWheel<Event<C::Message>>,
         metrics: Metrics,
         config: SimConfig,
     ) -> Self {
@@ -455,6 +313,7 @@ impl<N: ProtocolNode> Simulator<N> {
             hot,
             config,
             queue,
+            mailbox: Mailbox::new(),
             now: 0,
             seq: 0,
             rng,
@@ -473,13 +332,13 @@ impl<N: ProtocolNode> Simulator<N> {
         self.now
     }
 
-    /// Immutable access to a node's protocol state.
-    pub fn node(&self, id: NodeId) -> &N {
+    /// Immutable access to a node's protocol core.
+    pub fn node(&self, id: NodeId) -> &C {
         &self.nodes[id.index()]
     }
 
-    /// Immutable access to all node states, indexed by [`NodeId::index`].
-    pub fn nodes(&self) -> &[N] {
+    /// Immutable access to all node cores, indexed by [`NodeId::index`].
+    pub fn nodes(&self) -> &[C] {
         &self.nodes
     }
 
@@ -494,148 +353,150 @@ impl<N: ProtocolNode> Simulator<N> {
         &self.hot
     }
 
-    /// Consumes the simulator, returning the node states and metrics.
-    pub fn into_parts(self) -> (Vec<N>, Metrics) {
+    /// Consumes the simulator, returning the node cores and metrics.
+    pub fn into_parts(self) -> (Vec<C>, Metrics) {
         (self.nodes, self.metrics)
     }
 
     /// Like [`Simulator::into_parts`], but returns the graph, event-queue
     /// buffer and hot lanes to `arena` for the next trial to reuse.
-    pub fn into_parts_in(self, arena: &mut TrialArena) -> (Vec<N>, Metrics)
-    where
-        N::Message: 'static,
-    {
+    pub fn into_parts_in(self, arena: &mut TrialArena) -> (Vec<C>, Metrics) {
         arena.store_graph(self.graph);
         arena.store_queue(self.queue);
         arena.store_hot(self.hot);
         (self.nodes, self.metrics)
     }
 
-    /// Runs `on_init` on every node (idempotent; invoked automatically by
-    /// [`Simulator::run`] and [`Simulator::trigger`]).
+    /// Polls every node with [`Input::Init`] (idempotent; invoked
+    /// automatically by [`Simulator::run`] and [`Simulator::trigger`]).
     fn ensure_initialized(&mut self) {
         if self.initialized {
             return;
         }
         self.initialized = true;
         for index in 0..self.nodes.len() {
-            self.dispatch(NodeId::new(index), |node, ctx| node.on_init(ctx));
+            self.dispatch(NodeId::new(index), |core, view, out| {
+                core.poll(Input::Init, view, out);
+            });
         }
     }
 
-    /// Invokes `f` on the state machine of `node` with a live context, then
-    /// applies all recorded actions. This is how experiments start a
-    /// broadcast: trigger the originator and let it send its first messages.
-    pub fn trigger<F>(&mut self, node: NodeId, f: F)
-    where
-        F: FnOnce(&mut N, &mut Context<'_, N::Message>),
-    {
+    /// Runs an out-of-band entry point of `node`'s core (such as "start a
+    /// broadcast") with a live view and the simulator's mailbox, then
+    /// applies the emitted effects. This is how experiments start a
+    /// broadcast: trigger the originator and let it send its first
+    /// messages.
+    pub fn trigger(
+        &mut self,
+        node: NodeId,
+        f: impl FnOnce(&mut C, &mut Context<'_>, &mut Mailbox<C::Message>),
+    ) {
         self.ensure_initialized();
         self.dispatch(node, f);
     }
 
-    fn dispatch<F>(&mut self, node: NodeId, f: F)
-    where
-        F: FnOnce(&mut N, &mut Context<'_, N::Message>),
-    {
-        let mut actions: Vec<Action<N::Message>> = Vec::new();
-        {
-            let neighbors = self.graph.neighbors(node);
-            let mut ctx = Context {
-                node,
-                now: self.now,
-                neighbors,
-                node_count: self.graph.node_count(),
-                rng: &mut self.rng,
-                hot: &mut self.hot,
-                actions: &mut actions,
-            };
-            f(&mut self.nodes[node.index()], &mut ctx);
+    fn dispatch(
+        &mut self,
+        node: NodeId,
+        f: impl FnOnce(&mut C, &mut Context<'_>, &mut Mailbox<C::Message>),
+    ) {
+        debug_assert!(self.mailbox.is_empty());
+        let mut view = Context {
+            node,
+            now: self.now,
+            neighbors: self.graph.neighbors(node),
+            node_count: self.graph.node_count(),
+            rng: &mut self.rng,
+            hot: &mut self.hot,
+        };
+        f(&mut self.nodes[node.index()], &mut view, &mut self.mailbox);
+        // Taken out for the drain so `apply` may borrow the rest of `self`;
+        // the buffer goes back with its capacity for the next poll.
+        let mut mailbox = std::mem::take(&mut self.mailbox);
+        for effect in mailbox.drain() {
+            self.apply(node, effect);
         }
-        self.apply_actions(node, actions);
+        self.mailbox = mailbox;
     }
 
-    fn apply_actions(&mut self, node: NodeId, actions: Vec<Action<N::Message>>) {
-        for action in actions {
-            match action {
-                Action::Send { to, message } => {
+    fn apply(&mut self, node: NodeId, effect: Effect<C::Message>) {
+        match effect {
+            Effect::Send { to, message } => {
+                let delay = self.config.latency.sample(node, to, &mut self.rng);
+                let at = self.now.saturating_add(delay);
+                let kind = message.kind();
+                let bytes = message.size_bytes();
+                self.metrics.record_send(kind, bytes);
+                if at <= self.config.max_time {
+                    let seq = self.next_seq();
+                    self.push_event(Event {
+                        at,
+                        seq,
+                        kind: EventKind::Deliver {
+                            from: node,
+                            to,
+                            message: PayloadSlot::Owned(message),
+                            bytes,
+                            kind,
+                        },
+                    });
+                }
+            }
+            Effect::Broadcast { message, excluded } => {
+                let kind = message.kind();
+                let bytes = message.size_bytes();
+                let kind_id = self.metrics.intern_kind(kind);
+                let shared = Rc::new(message);
+                // The loop iterates the neighbor slice in place (the whole
+                // point is not to allocate a target list), which keeps
+                // `self.graph` borrowed — so `&mut self` helpers like
+                // next_seq()/push_event() are unavailable here and the seq
+                // bump and queue pushes go through disjoint field borrows
+                // directly. They must stay equivalent to the helpers used by
+                // the Send arm above. The whole fan-out goes through one
+                // bulk-push session, which hoists the wheel's bucket-routing
+                // threshold out of the per-neighbor path.
+                let mut batch = self.queue.bulk();
+                for &to in self.graph.neighbors(node) {
+                    if excluded.contains(&to) {
+                        continue;
+                    }
                     let delay = self.config.latency.sample(node, to, &mut self.rng);
                     let at = self.now.saturating_add(delay);
-                    let kind = message.kind();
-                    let bytes = message.size_bytes();
-                    self.metrics.record_send(kind, bytes);
+                    self.metrics.record_send_id(kind_id, bytes);
                     if at <= self.config.max_time {
-                        let seq = self.next_seq();
-                        self.push_event(Event {
+                        let seq = self.seq;
+                        self.seq += 1;
+                        batch.push(Event {
                             at,
                             seq,
                             kind: EventKind::Deliver {
                                 from: node,
                                 to,
-                                message: PayloadSlot::Owned(message),
+                                message: PayloadSlot::Shared(Rc::clone(&shared)),
                                 bytes,
                                 kind,
                             },
                         });
                     }
                 }
-                Action::Broadcast { message, excluded } => {
-                    let kind = message.kind();
-                    let bytes = message.size_bytes();
-                    let kind_id = self.metrics.intern_kind(kind);
-                    let shared = Rc::new(message);
-                    // The loop iterates the neighbor slice in place (the
-                    // whole point is not to allocate a target list), which
-                    // keeps `self.graph` borrowed — so `&mut self` helpers
-                    // like next_seq()/push_event() are unavailable here and
-                    // the seq bump and queue pushes go through disjoint
-                    // field borrows directly. They must stay equivalent to
-                    // the helpers used by the Send arm above. The whole
-                    // fan-out goes through one bulk-push session, which
-                    // hoists the wheel's bucket-routing threshold out of
-                    // the per-neighbor path.
-                    let mut batch = self.queue.bulk();
-                    for &to in self.graph.neighbors(node) {
-                        if excluded.contains(&to) {
-                            continue;
-                        }
-                        let delay = self.config.latency.sample(node, to, &mut self.rng);
-                        let at = self.now.saturating_add(delay);
-                        self.metrics.record_send_id(kind_id, bytes);
-                        if at <= self.config.max_time {
-                            let seq = self.seq;
-                            self.seq += 1;
-                            batch.push(Event {
-                                at,
-                                seq,
-                                kind: EventKind::Deliver {
-                                    from: node,
-                                    to,
-                                    message: PayloadSlot::Shared(Rc::clone(&shared)),
-                                    bytes,
-                                    kind,
-                                },
-                            });
-                        }
-                    }
+            }
+            Effect::SetTimer { delay, tag } => {
+                let at = self.now.saturating_add(delay.max(1));
+                if at <= self.config.max_time {
+                    let seq = self.next_seq();
+                    self.push_event(Event {
+                        at,
+                        seq,
+                        kind: EventKind::Timer { node, tag },
+                    });
                 }
-                Action::Timer { delay, tag } => {
-                    let at = self.now.saturating_add(delay.max(1));
-                    if at <= self.config.max_time {
-                        let seq = self.next_seq();
-                        self.push_event(Event {
-                            at,
-                            seq,
-                            kind: EventKind::Timer { node, tag },
-                        });
-                    }
-                }
-                Action::Deliver => {
-                    self.metrics.record_delivery(node, self.now);
-                }
-                Action::Counter { name, amount } => {
-                    self.metrics.record_counter(name, amount);
-                }
+            }
+            Effect::Deliver => {
+                self.metrics.record_delivery(node, self.now);
+            }
+            Effect::Counter { name, amount } => {
+                self.metrics.record_counter(name, amount);
             }
         }
     }
@@ -646,7 +507,7 @@ impl<N: ProtocolNode> Simulator<N> {
         seq
     }
 
-    fn push_event(&mut self, event: Event<N::Message>) {
+    fn push_event(&mut self, event: Event<C::Message>) {
         self.queue.push(event);
     }
 
@@ -684,15 +545,20 @@ impl<N: ProtocolNode> Simulator<N> {
                         bytes,
                     });
                 }
-                let message = message.into_message();
-                self.dispatch(to, |node, ctx| node.on_message(from, message, ctx));
+                let input = Input::Message {
+                    from,
+                    message: message.into_message(),
+                };
+                self.dispatch(to, |core, view, out| core.poll(input, view, out));
             }
             EventKind::Timer { node, tag } => {
                 if self.config.churn.is_down(node, self.now) {
                     self.metrics.record_counter("dropped-offline", 1);
                     return true;
                 }
-                self.dispatch(node, |n, ctx| n.on_timer(tag, ctx));
+                self.dispatch(node, |core, view, out| {
+                    core.poll(Input::TimerFired { tag }, view, out);
+                });
             }
         }
         true
@@ -732,27 +598,38 @@ mod tests {
     use crate::message::TestPayload;
     use crate::topology;
 
-    /// A flooding node used to exercise the simulator machinery itself.
+    /// A flooding core used to exercise the simulator machinery itself.
     #[derive(Default)]
     struct FloodNode {
         seen: bool,
     }
 
-    impl ProtocolNode for FloodNode {
+    impl FloodNode {
+        fn start(&mut self, out: &mut Mailbox<TestPayload>) {
+            self.seen = true;
+            out.deliver();
+            out.broadcast(TestPayload::new("flood", 250), &[]);
+        }
+    }
+
+    impl ProtocolCore for FloodNode {
         type Message = TestPayload;
 
-        fn on_message(
+        fn poll<V: NodeView>(
             &mut self,
-            from: NodeId,
-            message: TestPayload,
-            ctx: &mut Context<'_, TestPayload>,
+            input: Input<TestPayload>,
+            _view: &mut V,
+            out: &mut Mailbox<TestPayload>,
         ) {
+            let Input::Message { from, message } = input else {
+                return;
+            };
             if self.seen {
                 return;
             }
             self.seen = true;
-            ctx.mark_delivered();
-            ctx.send_to_neighbors_except(message, &[from]);
+            out.deliver();
+            out.broadcast(message, &[from]);
         }
     }
 
@@ -772,11 +649,7 @@ mod tests {
     }
 
     fn start_flood(sim: &mut Simulator<FloodNode>, origin: NodeId) {
-        sim.trigger(origin, |node, ctx| {
-            node.seen = true;
-            ctx.mark_delivered();
-            ctx.send_to_neighbors_except(TestPayload::new("flood", 250), &[]);
-        });
+        sim.trigger(origin, |node, _view, out| node.start(out));
     }
 
     #[test]
@@ -902,18 +775,27 @@ mod tests {
         struct TimerNode {
             fired: Vec<u64>,
         }
-        impl ProtocolNode for TimerNode {
+        impl ProtocolCore for TimerNode {
             type Message = TestPayload;
-            fn on_init(&mut self, ctx: &mut Context<'_, TestPayload>) {
-                ctx.set_timer(300, 3);
-                ctx.set_timer(100, 1);
-                ctx.set_timer(200, 2);
-            }
-            fn on_message(&mut self, _: NodeId, _: TestPayload, _: &mut Context<'_, TestPayload>) {}
-            fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, TestPayload>) {
-                self.fired.push(tag);
-                if tag == 3 {
-                    ctx.record("last-timer");
+            fn poll<V: NodeView>(
+                &mut self,
+                input: Input<TestPayload>,
+                _view: &mut V,
+                out: &mut Mailbox<TestPayload>,
+            ) {
+                match input {
+                    Input::Init => {
+                        out.set_timer(300, 3);
+                        out.set_timer(100, 1);
+                        out.set_timer(200, 2);
+                    }
+                    Input::TimerFired { tag } => {
+                        self.fired.push(tag);
+                        if tag == 3 {
+                            out.record("last-timer");
+                        }
+                    }
+                    Input::Message { .. } => {}
                 }
             }
         }
@@ -933,12 +815,18 @@ mod tests {
         // A broadcast with no eligible targets must not create phantom
         // metrics entries for its (never actually sent) kind.
         struct LonelyNode;
-        impl ProtocolNode for LonelyNode {
+        impl ProtocolCore for LonelyNode {
             type Message = TestPayload;
-            fn on_init(&mut self, ctx: &mut Context<'_, TestPayload>) {
-                ctx.send_to_neighbors_except(TestPayload::new("lonely", 9), &[]);
+            fn poll<V: NodeView>(
+                &mut self,
+                input: Input<TestPayload>,
+                _view: &mut V,
+                out: &mut Mailbox<TestPayload>,
+            ) {
+                if input == Input::Init {
+                    out.broadcast(TestPayload::new("lonely", 9), &[]);
+                }
             }
-            fn on_message(&mut self, _: NodeId, _: TestPayload, _: &mut Context<'_, TestPayload>) {}
         }
         // A single isolated node: no neighbours, so the fan-out is empty.
         let mut sim = Simulator::new(Graph::new(1), vec![LonelyNode], SimConfig::default());
@@ -953,13 +841,19 @@ mod tests {
     #[test]
     fn counters_and_custom_records() {
         struct CounterNode;
-        impl ProtocolNode for CounterNode {
+        impl ProtocolCore for CounterNode {
             type Message = TestPayload;
-            fn on_init(&mut self, ctx: &mut Context<'_, TestPayload>) {
-                ctx.record("init");
-                ctx.record_many("weighted", 5);
+            fn poll<V: NodeView>(
+                &mut self,
+                input: Input<TestPayload>,
+                _view: &mut V,
+                out: &mut Mailbox<TestPayload>,
+            ) {
+                if input == Input::Init {
+                    out.record("init");
+                    out.record_many("weighted", 5);
+                }
             }
-            fn on_message(&mut self, _: NodeId, _: TestPayload, _: &mut Context<'_, TestPayload>) {}
         }
         let mut sim = Simulator::new(
             Graph::new(3),

@@ -3,18 +3,19 @@
 //! Effects flow *out* of a core through the [`Mailbox`](crate::Mailbox);
 //! everything a core needs to *read* — its identity, neighbours, the clock,
 //! the run RNG and its hot per-node lanes — flows in through these traits.
-//! The simulator implements them directly on its
-//! [`Context`](fnp_netsim::Context) (so the SoA hot-lane storage keeps
-//! working unchanged), `fnp-node` implements them on its standalone
-//! environment, and the trace replayer implements them on a recorded view.
+//! The simulator implements them on its [`Context`](crate::Context) (so the
+//! SoA hot-lane storage keeps working unchanged), `fnp-node` implements them
+//! on its standalone environment, and the trace replayer implements them on
+//! a recorded view.
 
-use fnp_netsim::{NodeId, SimTime};
+use crate::node::NodeId;
+use crate::time::SimTime;
 use rand::rngs::StdRng;
 
 /// View of this node's hot lanes (seen flag, phase tag, counter slot).
 ///
 /// The lanes are dense struct-of-arrays storage owned by the driver (see
-/// [`fnp_netsim::HotState`]); a core only ever touches *its own* node's
+/// [`HotState`](crate::HotState)); a core only ever touches *its own* node's
 /// slots, which is exactly the surface this trait exposes. Keeping the
 /// lanes behind a view trait is what lets cores stay pure while the
 /// simulator keeps its cache-friendly SoA layout with zero behaviour

@@ -5,8 +5,8 @@
 //! this property to be comparable run-to-run.
 
 use fnp_netsim::{
-    topology, Context, Graph, LatencyModel, Metrics, NodeId, Payload, ProtocolNode, SimConfig,
-    Simulator,
+    topology, Graph, Input, LatencyModel, Mailbox, Metrics, NodeId, NodeView, Payload,
+    ProtocolCore, SimConfig, Simulator,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,48 +37,58 @@ struct GossipNode {
 }
 
 impl GossipNode {
-    fn start(&mut self, ctx: &mut Context<'_, Rumor>) {
+    fn start(&mut self, out: &mut Mailbox<Rumor>) {
         self.seen = true;
-        ctx.mark_delivered();
-        ctx.send_to_neighbors_except(Rumor { hops: 0 }, &[]);
-        ctx.set_timer(1_000, 1);
+        out.deliver();
+        out.broadcast(Rumor { hops: 0 }, &[]);
+        out.set_timer(1_000, 1);
     }
 
-    fn forward(&mut self, message: Rumor, skip: &[NodeId], ctx: &mut Context<'_, Rumor>) {
-        let neighbors: Vec<NodeId> = ctx.neighbors().to_vec();
+    fn forward(
+        &mut self,
+        message: Rumor,
+        skip: &[NodeId],
+        view: &mut impl NodeView,
+        out: &mut Mailbox<Rumor>,
+    ) {
+        let neighbors: Vec<NodeId> = view.neighbors().to_vec();
         for neighbor in neighbors {
-            if !skip.contains(&neighbor) && ctx.rng().gen_bool(0.8) {
-                ctx.send(neighbor, message.clone());
+            if !skip.contains(&neighbor) && view.rng().gen_bool(0.8) {
+                out.send(neighbor, message.clone());
             }
         }
     }
 }
 
-impl ProtocolNode for GossipNode {
+impl ProtocolCore for GossipNode {
     type Message = Rumor;
 
-    fn on_message(&mut self, from: NodeId, message: Rumor, ctx: &mut Context<'_, Rumor>) {
-        if self.seen {
-            return;
-        }
-        self.seen = true;
-        ctx.mark_delivered();
-        ctx.record("gossip-accepted");
-        if message.hops < 64 {
-            let next = Rumor {
-                hops: message.hops + 1,
-            };
-            self.forward(next, &[from], ctx);
-        }
-        ctx.set_timer(500, 2);
-    }
-
-    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, Rumor>) {
-        // One delayed re-gossip round, so timer ordering is exercised too.
-        if tag == 1 || tag == 2 {
-            ctx.record("timer-fired");
-            let message = Rumor { hops: 0 };
-            self.forward(message, &[], ctx);
+    fn poll<V: NodeView>(&mut self, input: Input<Rumor>, view: &mut V, out: &mut Mailbox<Rumor>) {
+        match input {
+            Input::Init => {}
+            Input::Message { from, message } => {
+                if self.seen {
+                    return;
+                }
+                self.seen = true;
+                out.deliver();
+                out.record("gossip-accepted");
+                if message.hops < 64 {
+                    let next = Rumor {
+                        hops: message.hops + 1,
+                    };
+                    self.forward(next, &[from], view, out);
+                }
+                out.set_timer(500, 2);
+            }
+            // One delayed re-gossip round, so timer ordering is exercised too.
+            Input::TimerFired { tag } => {
+                if tag == 1 || tag == 2 {
+                    out.record("timer-fired");
+                    let message = Rumor { hops: 0 };
+                    self.forward(message, &[], view, out);
+                }
+            }
         }
     }
 }
@@ -122,7 +132,7 @@ fn run_once(graph: Graph, sim_seed: u64) -> Metrics {
         .map(|_| GossipNode::default())
         .collect();
     let mut sim = Simulator::new(graph, nodes, config);
-    sim.trigger(NodeId::new(0), |node, ctx| node.start(ctx));
+    sim.trigger(NodeId::new(0), |node, _view, out| node.start(out));
     sim.run();
     let (_, metrics) = sim.into_parts();
     metrics

@@ -253,6 +253,11 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_an_error_not_an_abort() {
+        assert!(parse_event(&"[".repeat(300_000)).is_err());
+    }
+
+    #[test]
     fn output_lines_are_single_line_json() {
         for line in [
             init_ok_line(NodeId::new(3)),

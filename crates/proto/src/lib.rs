@@ -16,39 +16,36 @@
 //! * [`HotLanes`] / [`NodeView`] — the read side: identity, neighbours,
 //!   clock, RNG, and this node's hot lanes (seen/phase/counter), so the
 //!   simulator keeps its struct-of-arrays storage while cores stay pure.
-//! * [`SimDriver`] — the simulator driver: adapts any core to
-//!   [`fnp_netsim::ProtocolNode`], byte-identical to the pre-sans-IO
-//!   in-simulator implementations.
+//!
+//!   These types live in [`fnp_netsim`], whose
+//!   [`Simulator`](fnp_netsim::Simulator) polls the cores directly with one
+//!   mailbox; they are re-exported here so protocol crates import the whole
+//!   sans-IO API from one place.
 //! * [`StandaloneEnv`] — a single-node view for real-transport drivers
 //!   (the `fnp-node` binary's line-delimited JSON event loop).
 //! * [`steady`] — heavy-traffic multiplexing: wrap any single-broadcast
 //!   core in a [`SteadyNode`] and many Poisson-injected transactions share
 //!   one overlay, each with its own hot lanes and protocol instance.
-//! * [`TraceHandle`] / [`replay_trace`] — record a simulator run, replay
-//!   the inputs through bare cores, and assert the emitted effects match:
-//!   the gate that keeps cores and simulator from drifting apart.
+//! * [`Traced`] / [`replay_trace`] — record a simulator run, replay the
+//!   inputs through bare cores, and assert the emitted effects match: the
+//!   gate that keeps cores and simulator from drifting apart.
 //!
-//! See [`ProtocolCore`] for a worked minimal example, and
+//! See [`fnp_netsim::sim`] for a worked minimal example, and
 //! `docs/ARCHITECTURE.md` for how the pieces map onto the drivers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod core;
-mod driver;
-mod mailbox;
 mod standalone;
 pub mod steady;
 mod trace;
-mod view;
 
-pub use crate::core::ProtocolCore;
-pub use driver::SimDriver;
-pub use mailbox::{Effect, Input, Mailbox};
+pub use fnp_netsim::{Effect, HotLanes, Input, Mailbox, NodeView, ProtocolCore};
 pub use standalone::StandaloneEnv;
 pub use steady::{
     Arrival, SteadyNode, SteadyProtocol, SteadyReport, SteadySession, Tagged, TxOutcome,
 };
-pub use trace::{replay_trace, ReplayMismatch, ReplayView, TraceEvent, TraceHandle, TracedInput};
-pub use view::{HotLanes, NodeView};
+pub use trace::{
+    replay_trace, ReplayMismatch, ReplayView, TraceEvent, TraceHandle, Traced, TracedInput,
+};

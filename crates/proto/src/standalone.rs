@@ -6,8 +6,7 @@
 //! against. Time only moves when the driver advances it (event-time
 //! semantics: set it to the timestamp of the input being processed).
 
-use crate::view::{HotLanes, NodeView};
-use fnp_netsim::{NodeId, SimTime};
+use fnp_netsim::{HotLanes, NodeId, NodeView, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -36,12 +36,9 @@
 //! reach zero and its lanes would simply stay live until the trial ends —
 //! results stay correct, only the recycling stalls.)
 
-use crate::core::ProtocolCore;
-use crate::driver::SimDriver;
-use crate::mailbox::{Effect, Input, Mailbox};
-use crate::view::{HotLanes, NodeView};
 use fnp_netsim::{
-    Graph, HotState, LanePool, Metrics, NodeId, Payload, SimConfig, SimTime, Simulator, TrialArena,
+    Effect, Graph, HotLanes, HotState, Input, LanePool, Mailbox, Metrics, NodeId, NodeView,
+    Payload, ProtocolCore, SimConfig, SimTime, Simulator, TrialArena,
 };
 use rand::rngs::StdRng;
 use std::cell::RefCell;
@@ -578,14 +575,12 @@ pub fn run_steady_in<C: SteadyProtocol + 'static>(
         per_node[arrival.origin.index()].push((arrival.at, tx as u64));
     }
 
-    let mut nodes: Vec<SimDriver<SteadyNode<C>>> = arena.take_nodes();
+    let mut nodes: Vec<SteadyNode<C>> = arena.take_nodes();
     nodes.extend(
         prototypes
             .into_iter()
             .zip(per_node)
-            .map(|(prototype, arrivals)| {
-                SimDriver::new(SteadyNode::new(prototype, Rc::clone(&session), arrivals))
-            }),
+            .map(|(prototype, arrivals)| SteadyNode::new(prototype, Rc::clone(&session), arrivals)),
     );
 
     let mut sim = Simulator::new_in(arena, graph, nodes, config);

@@ -1,19 +1,18 @@
 //! Recording simulator runs and replaying them through bare cores.
 //!
-//! A [`TraceHandle`] shared by every node's [`SimDriver`](crate::SimDriver)
-//! accumulates one [`TraceEvent`] per poll, in the simulator's delivery
-//! order: which node was polled, at what time, with which input, the exact
-//! RNG state before the poll, and the effects the core emitted.
-//! [`replay_trace`] then feeds the same inputs through a *fresh* set of
-//! cores — no simulator, no `Context`, just a [`ReplayView`] over recorded
+//! Wrapping every node's core in a [`Traced`] core that shares one
+//! [`TraceHandle`] accumulates one [`TraceEvent`] per poll, in the
+//! simulator's delivery order: which node was polled, at what time, with
+//! which input, the exact RNG state before the poll, and the effects the
+//! core emitted. [`replay_trace`] then feeds the same inputs through a
+//! *fresh* set of cores — no simulator, just a [`ReplayView`] over recorded
 //! state — and checks the emitted effects match event for event. This is
 //! the determinism gate that keeps the sans-IO cores from silently
 //! diverging from the simulator path.
 
-use crate::core::ProtocolCore;
-use crate::mailbox::{Effect, Input, Mailbox};
-use crate::view::{HotLanes, NodeView};
-use fnp_netsim::{Graph, HotState, NodeId, SimTime};
+use fnp_netsim::{
+    Effect, Graph, HotLanes, HotState, Input, Mailbox, NodeId, NodeView, ProtocolCore, SimTime,
+};
 use rand::rngs::StdRng;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -23,9 +22,8 @@ use std::rc::Rc;
 pub enum TracedInput<M> {
     /// A regular protocol input (init, message, timer).
     Input(Input<M>),
-    /// An out-of-band entry point invoked through
-    /// [`SimDriver::drive`](crate::SimDriver::drive) — typically the
-    /// origin's "start broadcast" trigger. The replayer cannot reconstruct
+    /// An out-of-band entry point invoked through [`Traced::external`] —
+    /// typically the origin's "start broadcast" trigger. The replayer cannot reconstruct
     /// the closure, so [`replay_trace`] hands these to its `on_external`
     /// callback.
     External,
@@ -51,8 +49,8 @@ pub struct TraceEvent<M> {
 
 /// Shared, append-only recording of a simulator run.
 ///
-/// Clone one handle into every node's [`SimDriver::traced`](crate::SimDriver::traced)
-/// wrapper; the drivers append events in delivery order.
+/// Clone one handle into every node's [`Traced`] core; the cores append
+/// events in delivery order.
 #[derive(Debug, Default)]
 pub struct TraceHandle<M> {
     events: Rc<RefCell<Vec<TraceEvent<M>>>>,
@@ -96,6 +94,74 @@ impl<M> TraceHandle<M> {
     #[must_use]
     pub fn take(&self) -> Vec<TraceEvent<M>> {
         std::mem::take(&mut *self.events.borrow_mut())
+    }
+}
+
+/// A core that records every poll of the core it wraps into a shared
+/// [`TraceHandle`]: the input, the RNG state before the poll and the
+/// effects the poll emitted.
+#[derive(Debug)]
+pub struct Traced<C: ProtocolCore> {
+    core: C,
+    trace: TraceHandle<C::Message>,
+}
+
+impl<C: ProtocolCore> Traced<C> {
+    /// Wraps `core`, recording its polls into `trace`.
+    pub fn new(core: C, trace: TraceHandle<C::Message>) -> Self {
+        Self { core, trace }
+    }
+
+    /// Runs an out-of-band entry point of the wrapped core (such as "start
+    /// a broadcast"), recorded as [`TracedInput::External`]:
+    ///
+    /// ```ignore
+    /// sim.trigger(origin, |traced, view, out| {
+    ///     traced.external(view, out, |core, view, out| core.start_broadcast(7, view, out));
+    /// });
+    /// ```
+    pub fn external<V: NodeView>(
+        &mut self,
+        view: &mut V,
+        out: &mut Mailbox<C::Message>,
+        f: impl FnOnce(&mut C, &mut V, &mut Mailbox<C::Message>),
+    ) {
+        self.record(TracedInput::External, view, out, f);
+    }
+
+    fn record<V: NodeView>(
+        &mut self,
+        input: TracedInput<C::Message>,
+        view: &mut V,
+        out: &mut Mailbox<C::Message>,
+        f: impl FnOnce(&mut C, &mut V, &mut Mailbox<C::Message>),
+    ) {
+        let rng_before = view.rng().clone();
+        let start = out.len();
+        f(&mut self.core, view, out);
+        self.trace.record(TraceEvent {
+            node: view.node_id(),
+            now: view.now(),
+            input,
+            rng_before,
+            effects: out.effects()[start..].to_vec(),
+        });
+    }
+}
+
+impl<C: ProtocolCore> ProtocolCore for Traced<C> {
+    type Message = C::Message;
+
+    fn poll<V: NodeView>(
+        &mut self,
+        input: Input<C::Message>,
+        view: &mut V,
+        out: &mut Mailbox<C::Message>,
+    ) {
+        let recorded = TracedInput::Input(input.clone());
+        self.record(recorded, view, out, |core, view, out| {
+            core.poll(input, view, out)
+        });
     }
 }
 
