@@ -26,15 +26,16 @@
 //!
 //! ```
 //! use fnp_adversary::{first_spy, AdversarySet, AdversaryView};
-//! use fnp_gossip::run_flood;
-//! use fnp_netsim::{topology, NodeId, SimConfig};
+//! use fnp_gossip::run_flood_in;
+//! use fnp_netsim::{topology, NodeId, SimConfig, TrialArena};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let graph = topology::random_regular(100, 8, &mut rng)?;
 //! let origin = NodeId::new(0);
 //!
-//! let metrics = run_flood(
+//! let metrics = run_flood_in(
+//!     &mut TrialArena::new(),
 //!     graph,
 //!     origin,
 //!     1,

@@ -4,6 +4,7 @@
 //! reference lane of allocate-pad-then-XOR single-block expansion).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fnp_dcnet::RoundScratch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -20,7 +21,15 @@ fn bench_dcnet(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("explicit", k), &k, |b, &k| {
             let payloads = vec![None; k];
             let mut rng = StdRng::seed_from_u64(1);
-            b.iter(|| fnp_dcnet::run_explicit_round(&payloads, SLOT_LEN, &mut rng).unwrap())
+            b.iter(|| {
+                fnp_dcnet::run_explicit_round_in(
+                    &payloads,
+                    SLOT_LEN,
+                    &mut rng,
+                    &mut RoundScratch::new(),
+                )
+                .unwrap()
+            })
         });
         group.bench_with_input(BenchmarkId::new("keyed", k), &k, |b, &k| {
             let mut rng = StdRng::seed_from_u64(1);

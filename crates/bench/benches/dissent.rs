@@ -2,6 +2,7 @@
 //! announcement shuffle and full round cost across group sizes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fnp_bench::TrialRunner;
 use fnp_shuffle::{DissentSession, SessionConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -10,7 +11,7 @@ fn bench_dissent(c: &mut Criterion) {
     let mut group = c.benchmark_group("e11_dissent");
     group.sample_size(20);
     group.bench_function("startup_sweep", |b| {
-        b.iter(|| fnp_bench::dissent_startup(&[4, 8, 12], 5))
+        b.iter(|| fnp_bench::dissent_startup_with(&TrialRunner::auto(), &[4, 8, 12], 5))
     });
     for k in [4usize, 8, 12] {
         group.bench_function(format!("full_round_k{k}"), |b| {

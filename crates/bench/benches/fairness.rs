@@ -2,6 +2,7 @@
 //! (broadcast, then repeated block races).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fnp_bench::TrialRunner;
 use fnp_blockchain::{InclusionRace, MinerSet, RaceConfig};
 use fnp_netsim::NodeId;
 use rand::rngs::StdRng;
@@ -11,7 +12,7 @@ fn bench_fairness(c: &mut Criterion) {
     let mut group = c.benchmark_group("e12_fairness");
     group.sample_size(10);
     group.bench_function("fee_fairness_small", |b| {
-        b.iter(|| fnp_bench::fee_fairness(80, 20, 1, 100, 9))
+        b.iter(|| fnp_bench::fee_fairness_with(&TrialRunner::auto(), 80, 20, 1, 100, 9))
     });
     group.bench_function("race_only_1000", |b| {
         // Isolate the block-race cost from the broadcast cost.

@@ -2,12 +2,13 @@
 //! one flooded broadcast.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fnp_bench::TrialRunner;
 
 fn bench_flood_deanon(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2_flood_deanon");
     group.sample_size(10);
     group.bench_function("attack_100_nodes", |b| {
-        b.iter(|| fnp_bench::flood_deanonymization(&[100], &[0.2], 1, 2))
+        b.iter(|| fnp_bench::flood_deanonymization_with(&TrialRunner::auto(), &[100], &[0.2], 1, 2))
     });
     group.finish();
 }

@@ -2,6 +2,7 @@
 //! computation and network-wide group formation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fnp_bench::TrialRunner;
 use fnp_netsim::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -10,7 +11,9 @@ fn bench_groups(c: &mut Criterion) {
     let mut group = c.benchmark_group("e8_groups");
     group.sample_size(20);
     group.bench_function("overlap_sweep", |b| {
-        b.iter(|| fnp_bench::group_overlap(&[3, 5, 8, 10], &[1, 2, 3, 4]))
+        b.iter(|| {
+            fnp_bench::group_overlap_with(&TrialRunner::auto(), &[3, 5, 8, 10], &[1, 2, 3, 4])
+        })
     });
     group.bench_function("form_groups_1000_nodes", |b| {
         let nodes: Vec<NodeId> = (0..1000).map(NodeId::new).collect();

@@ -2,12 +2,13 @@
 //! on a small overlay.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fnp_bench::TrialRunner;
 
 fn bench_latency(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_latency");
     group.sample_size(10);
     group.bench_function("all_protocols_100_nodes", |b| {
-        b.iter(|| fnp_bench::latency(100, 1, 8))
+        b.iter(|| fnp_bench::latency_with(&TrialRunner::auto(), 100, 1, 8))
     });
     group.finish();
 }

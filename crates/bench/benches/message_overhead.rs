@@ -2,12 +2,13 @@
 //! (adaptive diffusion vs flood-and-prune vs flexible) on a small overlay.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fnp_bench::TrialRunner;
 
 fn bench_message_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("e6_message_overhead");
     group.sample_size(10);
     group.bench_function("comparison_150_nodes", |b| {
-        b.iter(|| fnp_bench::message_overhead(150, 1, 6))
+        b.iter(|| fnp_bench::message_overhead_with(&TrialRunner::auto(), 150, 1, 6))
     });
     group.finish();
 }

@@ -880,7 +880,7 @@ mod tests {
 
     #[test]
     fn serialization_is_deterministic() {
-        let rows = crate::group_overlap(&[3, 5], &[1, 2]);
+        let rows = crate::group_overlap_with(&crate::TrialRunner::auto(), &[3, 5], &[1, 2]);
         let a = Json::rows(&rows).to_pretty_string();
         let b = Json::rows(&rows).to_pretty_string();
         assert_eq!(a, b);

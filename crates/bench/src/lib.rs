@@ -27,10 +27,10 @@
 //!
 //! # Parallel trial execution
 //!
-//! Every driver routes its independent repetitions through a
-//! [`TrialRunner`]: the `*_with` variants take an explicit runner, the
-//! plain functions use [`TrialRunner::auto`] (all cores, overridable with
-//! the `FNP_THREADS` environment variable). Grid experiments flatten their
+//! Every driver takes the [`TrialRunner`] its independent repetitions run
+//! on (the `*_with` functions); [`TrialRunner::auto`] sizes one to the
+//! machine (all cores, overridable with the `FNP_THREADS` environment
+//! variable). Grid experiments flatten their
 //! full cell×run cross product into one [`GridPlan`] so every worker stays
 //! busy even when the per-cell `runs` is small, and each worker reuses one
 //! [`TrialArena`] (overlay adjacency, node storage, event queue, metrics)
@@ -59,13 +59,11 @@ use fnp_adversary::{
     first_spy, jordan_center, AdversarySet, AdversaryView, AttackOutcome, PrivacyExperiment,
     PrivacySummary,
 };
-use fnp_core::{
-    run_flexible_broadcast_in, run_protocol, run_protocol_in, FlexConfig, ProtocolKind,
-};
+use fnp_core::{run_flexible_broadcast_in, run_protocol_in, FlexConfig, ProtocolKind};
 use fnp_dcnet::KeyedParticipant;
 use fnp_diffusion::AdParams;
 use fnp_gossip::DandelionParams;
-pub use fnp_netsim::{derive_seed, GridPlan, TrialArena, TrialPlan, TrialRunner};
+pub use fnp_netsim::{derive_seed, GridPlan, TrialArena, TrialRunner};
 use fnp_netsim::{percentile, summarize, topology, Graph, Metrics, NodeId, SimConfig, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,17 +72,8 @@ use rand::{Rng, SeedableRng};
 /// evaluation network size).
 pub const PAPER_NETWORK_SIZE: usize = 1_000;
 
-/// Builds the standard Bitcoin-like overlay used across experiments.
-///
-/// # Panics
-///
-/// Panics if the random-regular generator fails, which for degree-8 graphs
-/// of the sizes used here does not happen in practice.
-pub fn standard_overlay(n: usize, seed: u64) -> Graph {
-    standard_overlay_in(&mut TrialArena::new(), n, seed)
-}
-
-/// Like [`standard_overlay`], but regenerates into `arena`'s pooled graph
+/// Builds the standard Bitcoin-like overlay used across experiments (a
+/// random 8-regular graph), regenerated into `arena`'s pooled graph
 /// storage — byte-identical to a fresh build, without the per-trial
 /// adjacency reallocations.
 ///
@@ -155,11 +144,6 @@ pub struct LandscapeRow {
     pub mean_messages: f64,
     /// Mean time to full coverage in milliseconds.
     pub mean_latency_ms: f64,
-}
-
-/// Runs experiment E1 with an automatically sized [`TrialRunner`].
-pub fn landscape(n: usize, runs: usize, fractions: &[f64], base_seed: u64) -> Vec<LandscapeRow> {
-    landscape_with(&TrialRunner::auto(), n, runs, fractions, base_seed)
 }
 
 /// Runs experiment E1: every protocol × adversary fraction cell.
@@ -251,16 +235,6 @@ pub struct FloodDeanonRow {
     pub jordan_center: PrivacySummary,
 }
 
-/// Runs experiment E2 with an automatically sized [`TrialRunner`].
-pub fn flood_deanonymization(
-    sizes: &[usize],
-    fractions: &[f64],
-    runs: usize,
-    base_seed: u64,
-) -> Vec<FloodDeanonRow> {
-    flood_deanonymization_with(&TrialRunner::auto(), sizes, fractions, runs, base_seed)
-}
-
 /// Runs experiment E2: first-spy and centrality attacks against plain
 /// flood-and-prune, as a function of the adversary fraction, over the
 /// flattened (size × fraction) × run grid.
@@ -340,24 +314,6 @@ pub struct DandelionRow {
     pub detection_probability: f64,
     /// Mean stem length observed.
     pub mean_stem_length: f64,
-}
-
-/// Runs experiment E3 with an automatically sized [`TrialRunner`].
-pub fn dandelion_privacy(
-    n: usize,
-    fractions: &[f64],
-    stem_probabilities: &[f64],
-    runs: usize,
-    base_seed: u64,
-) -> Vec<DandelionRow> {
-    dandelion_privacy_with(
-        &TrialRunner::auto(),
-        n,
-        fractions,
-        stem_probabilities,
-        runs,
-        base_seed,
-    )
 }
 
 /// Runs experiment E3: Dandelion's first-spy detection probability across
@@ -441,11 +397,6 @@ pub struct DcNetCostRow {
     pub idle_bytes_with_reservation: u64,
     /// Bytes per idle round without the optimisation.
     pub idle_bytes_without_reservation: u64,
-}
-
-/// Runs experiment E4/E9 with an automatically sized [`TrialRunner`].
-pub fn dcnet_cost(ks: &[usize], slot_len: usize, seed: u64) -> Vec<DcNetCostRow> {
-    dcnet_cost_with(&TrialRunner::auto(), ks, slot_len, seed)
 }
 
 /// Runs experiment E4/E9: per-round cost of the DC-net constructions and
@@ -694,17 +645,6 @@ pub struct ThreePhaseRow {
     pub coverage: f64,
 }
 
-/// Runs experiment E5 with an automatically sized [`TrialRunner`].
-pub fn three_phase_breakdown(
-    n: usize,
-    ks: &[usize],
-    ds: &[u32],
-    runs: usize,
-    base_seed: u64,
-) -> Vec<ThreePhaseRow> {
-    three_phase_breakdown_with(&TrialRunner::auto(), n, ks, ds, runs, base_seed)
-}
-
 /// Runs experiment E5: the per-phase message breakdown of the flexible
 /// protocol across (k, d), over the flattened (k × d) × run grid.
 pub fn three_phase_breakdown_with(
@@ -779,11 +719,6 @@ pub struct MessageOverheadResult {
     pub flexible_messages: f64,
     /// Ratio adaptive-diffusion / flood (the paper reports ≈12 500/7 000 ≈ 1.8).
     pub overhead_ratio: f64,
-}
-
-/// Runs experiment E6 with an automatically sized [`TrialRunner`].
-pub fn message_overhead(n: usize, runs: usize, base_seed: u64) -> MessageOverheadResult {
-    message_overhead_with(&TrialRunner::auto(), n, runs, base_seed)
 }
 
 /// Runs experiment E6: the paper's §V-A simulation.
@@ -883,18 +818,6 @@ pub struct PrivacyBoundsRow {
     pub ideal: f64,
 }
 
-/// Runs experiment E7 with an automatically sized [`TrialRunner`].
-pub fn privacy_bounds(
-    n: usize,
-    ks: &[usize],
-    ds: &[u32],
-    fractions: &[f64],
-    runs: usize,
-    base_seed: u64,
-) -> Vec<PrivacyBoundsRow> {
-    privacy_bounds_with(&TrialRunner::auto(), n, ks, ds, fractions, runs, base_seed)
-}
-
 /// Runs experiment E7: the attacker's success against the flexible protocol
 /// compared with the 1/k floor and the 1/n ideal, over the flattened
 /// (k × d × fraction) × run grid.
@@ -973,11 +896,6 @@ pub struct GroupOverlapRow {
     pub ideal: f64,
 }
 
-/// Runs experiment E8 with an automatically sized [`TrialRunner`].
-pub fn group_overlap(group_sizes: &[usize], overlap_degrees: &[usize]) -> Vec<GroupOverlapRow> {
-    group_overlap_with(&TrialRunner::auto(), group_sizes, overlap_degrees)
-}
-
 /// Runs experiment E8: origin-probability skew of overlapping groups with
 /// and without smoothing. Each (size, overlap) cell is an independent,
 /// purely combinatorial computation, parallelised across the grid.
@@ -1032,11 +950,6 @@ pub struct LatencyRow {
     pub t100_ms: f64,
     /// Mean total messages.
     pub messages: f64,
-}
-
-/// Runs experiment E10 with an automatically sized [`TrialRunner`].
-pub fn latency(n: usize, runs: usize, base_seed: u64) -> Vec<LatencyRow> {
-    latency_with(&TrialRunner::auto(), n, runs, base_seed)
 }
 
 /// Runs experiment E10: dissemination latency of all four protocols, over
@@ -1115,11 +1028,6 @@ pub struct DissentStartupRow {
     pub serial_steps: usize,
 }
 
-/// Runs experiment E11 with an automatically sized [`TrialRunner`].
-pub fn dissent_startup(ks: &[usize], base_seed: u64) -> Vec<DissentStartupRow> {
-    dissent_startup_with(&TrialRunner::auto(), ks, base_seed)
-}
-
 /// Runs experiment E11: the Dissent-style baseline's startup cost as a
 /// function of group size (§III-B's argument against shuffle-based systems
 /// for blockchain dissemination). Each group size is an independent trial.
@@ -1163,24 +1071,6 @@ pub struct FairnessRow {
     pub mean_inclusion_delay_ms: f64,
     /// Fraction of transactions never included within the race budget.
     pub orphaned_fraction: f64,
-}
-
-/// Runs experiment E12 with an automatically sized [`TrialRunner`].
-pub fn fee_fairness(
-    n: usize,
-    miner_count: usize,
-    runs: usize,
-    races_per_run: usize,
-    base_seed: u64,
-) -> Vec<FairnessRow> {
-    fee_fairness_with(
-        &TrialRunner::auto(),
-        n,
-        miner_count,
-        runs,
-        races_per_run,
-        base_seed,
-    )
 }
 
 /// Runs experiment E12: §II's latency-fairness argument measured end to end.
@@ -1493,26 +1383,6 @@ fn steady_trial(
     trial
 }
 
-/// Runs experiment E13 with an automatically sized [`TrialRunner`].
-pub fn steady_state(
-    n: usize,
-    miner_count: usize,
-    runs: usize,
-    rates: &[f64],
-    horizon: SimTime,
-    base_seed: u64,
-) -> Vec<SteadyStateRow> {
-    steady_state_with(
-        &TrialRunner::auto(),
-        n,
-        miner_count,
-        runs,
-        rates,
-        horizon,
-        base_seed,
-    )
-}
-
 /// Runs experiment E13: every protocol × arrival-rate cell of the
 /// steady-state heavy-traffic grid.
 ///
@@ -1644,16 +1514,6 @@ pub struct ElectionAblationRow {
     pub summary: PrivacySummary,
 }
 
-/// Runs ablation A1 with an automatically sized [`TrialRunner`].
-pub fn election_ablation(
-    n: usize,
-    adversary_fraction: f64,
-    runs: usize,
-    base_seed: u64,
-) -> Vec<ElectionAblationRow> {
-    election_ablation_with(&TrialRunner::auto(), n, adversary_fraction, runs, base_seed)
-}
-
 /// Runs ablation A1: the paper's hash-based virtual-source election versus
 /// keeping the originator as the virtual source.
 ///
@@ -1717,11 +1577,13 @@ pub fn election_ablation_with(
 /// Convenience used by benches and smoke tests: one broadcast of each
 /// protocol over a small overlay; returns the metrics keyed by label.
 pub fn smoke_suite(n: usize, seed: u64) -> Vec<(&'static str, Metrics)> {
+    let mut arena = TrialArena::new();
     protocol_suite()
         .into_iter()
         .map(|(label, kind)| {
-            let graph = standard_overlay(n, seed);
-            let metrics = run_protocol(
+            let graph = standard_overlay_in(&mut arena, n, seed);
+            let metrics = run_protocol_in(
+                &mut arena,
                 kind,
                 graph,
                 NodeId::new(0),
@@ -1782,7 +1644,7 @@ mod tests {
 
     #[test]
     fn dissent_startup_reproduces_the_paper_anchor() {
-        let rows = dissent_startup(&[4, 8, 10, 12], 5);
+        let rows = dissent_startup_with(&TrialRunner::auto(), &[4, 8, 10, 12], 5);
         assert_eq!(rows.len(), 4);
         // Latency grows with k and hits the tens-of-seconds range at 8–12.
         assert!(rows
@@ -1797,7 +1659,7 @@ mod tests {
 
     #[test]
     fn small_fee_fairness_has_the_right_shape() {
-        let rows = fee_fairness(80, 20, 2, 200, 9);
+        let rows = fee_fairness_with(&TrialRunner::auto(), 80, 20, 2, 200, 9);
         assert_eq!(rows.len(), 4);
         for row in &rows {
             assert!(
@@ -1816,7 +1678,7 @@ mod tests {
 
     #[test]
     fn election_ablation_never_favours_the_ablated_variant() {
-        let rows = election_ablation(100, 0.2, 6, 21);
+        let rows = election_ablation_with(&TrialRunner::auto(), 100, 0.2, 6, 21);
         assert_eq!(rows.len(), 2);
         let hash_based = &rows[0];
         let ablated = &rows[1];
@@ -1835,7 +1697,7 @@ mod tests {
 
     #[test]
     fn dcnet_cost_rows_follow_the_quadratic_shape() {
-        let rows = dcnet_cost(&[4, 8, 16], 256, 1);
+        let rows = dcnet_cost_with(&TrialRunner::auto(), &[4, 8, 16], 256, 1);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].explicit_messages, 3 * 4 * 3);
         assert_eq!(rows[1].keyed_messages, 8 * 7);
@@ -1846,7 +1708,7 @@ mod tests {
 
     #[test]
     fn group_overlap_reproduces_the_paper_example() {
-        let rows = group_overlap(&[3], &[1]);
+        let rows = group_overlap_with(&TrialRunner::auto(), &[3], &[1]);
         assert_eq!(rows.len(), 1);
         assert!((rows[0].naive_worst_case - 0.5).abs() < 1e-9);
         assert!((rows[0].smoothed_worst_case - 1.0 / 3.0).abs() < 1e-9);
@@ -1854,7 +1716,7 @@ mod tests {
 
     #[test]
     fn small_flood_deanonymization_shows_high_detection() {
-        let rows = flood_deanonymization(&[100], &[0.2], 5, 1);
+        let rows = flood_deanonymization_with(&TrialRunner::auto(), &[100], &[0.2], 5, 1);
         assert_eq!(rows.len(), 1);
         // Flooding is easy to deanonymise: the first-spy attack should catch
         // a good fraction of the broadcasts even with few runs.
@@ -1867,10 +1729,10 @@ mod tests {
 
     #[test]
     fn small_privacy_bounds_are_below_flooding() {
-        let flood = flood_deanonymization(&[100], &[0.2], 5, 2)[0]
+        let flood = flood_deanonymization_with(&TrialRunner::auto(), &[100], &[0.2], 5, 2)[0]
             .first_spy
             .detection_probability;
-        let flexible = privacy_bounds(100, &[5], &[4], &[0.2], 5, 2)[0]
+        let flexible = privacy_bounds_with(&TrialRunner::auto(), 100, &[5], &[4], &[0.2], 5, 2)[0]
             .summary
             .detection_probability;
         assert!(
@@ -1888,7 +1750,7 @@ mod tests {
         // quantities that hold at every size: all counters are populated and
         // the flexible protocol costs more than plain flooding because it
         // adds the periodic DC-net rounds on top of the final broadcast.
-        let result = message_overhead(100, 2, 3);
+        let result = message_overhead_with(&TrialRunner::auto(), 100, 2, 3);
         assert!(result.adaptive_diffusion_messages > 0.0);
         assert!(result.flood_messages > 0.0);
         assert!(result.flexible_messages > 0.0);

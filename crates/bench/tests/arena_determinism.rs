@@ -20,7 +20,7 @@
 //! exactly when every field is bit-identical.
 
 use fnp_bench::{TrialArena, TrialRunner};
-use fnp_core::{run_protocol, run_protocol_in, FlexConfig, ProtocolKind};
+use fnp_core::{run_protocol_in, FlexConfig, ProtocolKind};
 use fnp_netsim::{NodeId, SimConfig};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -78,9 +78,10 @@ fn trials_a_then_b_in_one_arena_match_fresh_arena_runs() {
             config.clone(),
         )
         .expect("protocol run");
-        let fresh = run_protocol(
+        let fresh = run_protocol_in(
+            &mut TrialArena::new(),
             kind,
-            fnp_bench::standard_overlay(n, seed),
+            fnp_bench::standard_overlay_in(&mut TrialArena::new(), n, seed),
             NodeId::new(trial % n),
             config,
         )
@@ -117,8 +118,14 @@ fn growing_then_shrinking_the_overlay_leaves_no_stale_state() {
             let origin = NodeId::new(n - 1);
             let reused = run_protocol_in(&mut arena, kind, graph, origin, config.clone())
                 .expect("protocol run");
-            let fresh = run_protocol(kind, fnp_bench::standard_overlay(n, 9), origin, config)
-                .expect("protocol run");
+            let fresh = run_protocol_in(
+                &mut TrialArena::new(),
+                kind,
+                fnp_bench::standard_overlay_in(&mut TrialArena::new(), n, 9),
+                origin,
+                config,
+            )
+            .expect("protocol run");
             assert_eq!(
                 format!("{reused:?}"),
                 format!("{fresh:?}"),

@@ -12,7 +12,7 @@ use fnp_core::{FlexConfig, FlexNode, GroupKeyCache, GroupMembership};
 use fnp_diffusion::{AdParams, AdaptiveDiffusionNode};
 use fnp_gossip::{DandelionNode, DandelionParams, FloodNode, StemLine};
 use fnp_groups::form_groups;
-use fnp_netsim::{topology, Graph, NodeId, SimConfig, Simulator};
+use fnp_netsim::{topology, Graph, NodeId, SimConfig, Simulator, TrialArena};
 use fnp_proto::{replay_trace, TraceHandle, Traced};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,7 +37,7 @@ fn flood_replays_exactly() {
     let nodes = (0..n)
         .map(|_| Traced::new(FloodNode::new(), trace.clone()))
         .collect();
-    let mut sim = Simulator::new(graph.clone(), nodes, sim_config(11));
+    let mut sim = Simulator::new_in(&mut TrialArena::new(), graph.clone(), nodes, sim_config(11));
     sim.trigger(NodeId::new(3), |traced, view, out| {
         traced.external(view, out, |node, view, out| {
             node.start_broadcast(7, view, out)
@@ -63,7 +63,7 @@ fn replay_detects_divergence() {
     let nodes = (0..n)
         .map(|_| Traced::new(FloodNode::new(), trace.clone()))
         .collect();
-    let mut sim = Simulator::new(graph.clone(), nodes, sim_config(12));
+    let mut sim = Simulator::new_in(&mut TrialArena::new(), graph.clone(), nodes, sim_config(12));
     sim.trigger(NodeId::new(0), |traced, view, out| {
         traced.external(view, out, |node, view, out| {
             node.start_broadcast(7, view, out)
@@ -104,7 +104,7 @@ fn dandelion_replays_exactly() {
             )
         })
         .collect();
-    let mut sim = Simulator::new(graph.clone(), nodes, sim_config(21));
+    let mut sim = Simulator::new_in(&mut TrialArena::new(), graph.clone(), nodes, sim_config(21));
     sim.trigger(NodeId::new(5), |traced, view, out| {
         traced.external(view, out, |node, view, out| {
             node.start_broadcast(9, view, out)
@@ -135,7 +135,7 @@ fn adaptive_diffusion_replays_exactly() {
     let nodes = (0..n)
         .map(|_| Traced::new(AdaptiveDiffusionNode::new(params), trace.clone()))
         .collect();
-    let mut sim = Simulator::new(graph.clone(), nodes, sim_config(31));
+    let mut sim = Simulator::new_in(&mut TrialArena::new(), graph.clone(), nodes, sim_config(31));
     sim.trigger(NodeId::new(2), |traced, view, out| {
         traced.external(view, out, |node, view, out| node.start_broadcast(view, out));
     });
@@ -188,7 +188,12 @@ fn flexible_protocol_replays_exactly() {
         .into_iter()
         .map(|core| Traced::new(core, trace.clone()))
         .collect();
-    let mut sim = Simulator::new(graph.clone(), nodes, sim_config(seed));
+    let mut sim = Simulator::new_in(
+        &mut TrialArena::new(),
+        graph.clone(),
+        nodes,
+        sim_config(seed),
+    );
     let start_payload = payload.clone();
     sim.trigger(NodeId::new(7), |traced, view, out| {
         traced.external(view, out, move |node, view, out| {

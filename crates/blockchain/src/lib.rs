@@ -33,7 +33,7 @@
 //!   and report mempool occupancy, eviction and inclusion delays.
 //!
 //! The experiment binaries in `fnp-bench` (experiment E12/tab7) combine this
-//! crate with `fnp-core::run_protocol` to quantify the latency-fairness cost
+//! crate with `fnp_core::run_protocol_in` to quantify the latency-fairness cost
 //! of each privacy mechanism — flooding, Dandelion, adaptive diffusion and
 //! the paper's flexible three-phase protocol.
 //!

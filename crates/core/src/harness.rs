@@ -178,68 +178,27 @@ fn take_extras(
     }
 }
 
-/// Sets up and runs one flexible-protocol broadcast of `payload` from
-/// `origin` over `graph`.
-///
-/// The overlay is partitioned into DC-net groups of size `config.k` to
-/// `2·config.k − 1`; every node participates in exactly one group. The
-/// broadcast is traced so that adversary estimators can replay it.
-///
-/// # Errors
-///
-/// Returns a [`HarnessError`] if the configuration is invalid, the origin
-/// is out of range or groups cannot be formed (network smaller than `k`).
-pub fn run_flexible_broadcast(
-    graph: Graph,
-    origin: NodeId,
-    payload: Vec<u8>,
-    config: FlexConfig,
-    sim_config: SimConfig,
-) -> Result<FlexReport, HarnessError> {
-    run_flexible_broadcast_in(
-        &mut TrialArena::new(),
-        graph,
-        origin,
-        payload,
-        config,
-        sim_config,
-    )
-}
-
-/// Like [`run_flexible_broadcast`], but reuses `arena`'s pooled simulator
-/// storage (recycle the report's [`Metrics`] via
-/// [`TrialArena::recycle_metrics`] once aggregated).
-///
-/// # Errors
-///
-/// Same failure modes as [`run_flexible_broadcast`].
-pub fn run_flexible_broadcast_in(
+/// The setup shared by both flexible-protocol entry points: validates
+/// `config`, partitions the `n` overlay nodes into DC-net groups of size
+/// `config.k` to `2·config.k − 1` (setup RNG seeded with
+/// `seed ^ 0xD1F7_BEEF`) and derives every member's [`GroupMembership`],
+/// reusing any key material the previous trial on this worker derived for
+/// the same groups. Returns the groups and one configured [`FlexNode`] per
+/// overlay node, in node order.
+fn form_flex_nodes(
     arena: &mut TrialArena,
-    graph: Graph,
-    origin: NodeId,
-    payload: Vec<u8>,
+    n: usize,
     config: FlexConfig,
-    sim_config: SimConfig,
-) -> Result<FlexReport, HarnessError> {
+    seed: u64,
+) -> Result<(Vec<Group>, impl Iterator<Item = FlexNode>), HarnessError> {
     config.validate()?;
-    let n = graph.node_count();
-    if origin.index() >= n {
-        return Err(HarnessError::OriginOutOfRange { origin, nodes: n });
-    }
-
-    let mut setup_rng = StdRng::seed_from_u64(sim_config.seed ^ 0xD1F7_BEEF);
+    let mut setup_rng = StdRng::seed_from_u64(seed ^ 0xD1F7_BEEF);
     let all_nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
     let groups = form_groups(&all_nodes, config.k, &mut setup_rng)?;
 
-    // Build one membership object per node, reusing any key material the
-    // previous trial on this worker derived for the same groups.
-    let (mut key_cache, scratch) = take_extras(arena, sim_config.seed);
+    let (mut key_cache, scratch) = take_extras(arena, seed);
     let mut memberships: Vec<Option<GroupMembership>> = (0..n).map(|_| None).collect();
-    let mut origin_group = Vec::new();
     for group in &groups {
-        if group.contains(origin) {
-            origin_group = group.member_vec();
-        }
         for (node, membership) in build_memberships(group, &mut key_cache) {
             memberships[node.index()] = Some(membership);
         }
@@ -249,12 +208,46 @@ pub fn run_flexible_broadcast_in(
         scratch: Rc::clone(&scratch),
     }));
 
+    let nodes = memberships
+        .into_iter()
+        .map(move |membership| FlexNode::with_scratch(config, membership, Rc::clone(&scratch)));
+    Ok((groups, nodes))
+}
+
+/// Sets up and runs one flexible-protocol broadcast of `payload` from
+/// `origin` over `graph`, checking the simulator storage out of `arena`
+/// (recycle the report's [`Metrics`] via [`TrialArena::recycle_metrics`]
+/// once aggregated).
+///
+/// The overlay is partitioned into DC-net groups of size `config.k` to
+/// `2·config.k − 1`; every node participates in exactly one group. The
+/// configuration's `record_trace` flag is forced on so that adversary
+/// estimators can replay the broadcast.
+///
+/// # Errors
+///
+/// Returns a [`HarnessError`] if the origin is out of range, the
+/// configuration is invalid or groups cannot be formed (network smaller
+/// than `k`).
+pub fn run_flexible_broadcast_in(
+    arena: &mut TrialArena,
+    graph: Graph,
+    origin: NodeId,
+    payload: Vec<u8>,
+    config: FlexConfig,
+    sim_config: SimConfig,
+) -> Result<FlexReport, HarnessError> {
+    let n = graph.node_count();
+    if origin.index() >= n {
+        return Err(HarnessError::OriginOutOfRange { origin, nodes: n });
+    }
+    let (groups, flex_nodes) = form_flex_nodes(arena, n, config, sim_config.seed)?;
+    let origin_group = groups
+        .iter()
+        .find(|group| group.contains(origin))
+        .map_or_else(Vec::new, Group::member_vec);
     let mut nodes: Vec<FlexNode> = arena.take_nodes();
-    nodes.extend(
-        memberships
-            .into_iter()
-            .map(|membership| FlexNode::with_scratch(config, membership, Rc::clone(&scratch))),
-    );
+    nodes.extend(flex_nodes);
 
     let mut traced_config = sim_config;
     traced_config.record_trace = true;
@@ -273,7 +266,7 @@ pub fn run_flexible_broadcast_in(
 /// steady-state session spawns per-transaction instances from.
 ///
 /// The group formation, pairwise-key derivation and scratch pooling are
-/// identical to [`run_flexible_broadcast_in`] (same `seed ^ 0xD1F7_BEEF`
+/// the ones [`run_flexible_broadcast_in`] runs (same `seed ^ 0xD1F7_BEEF`
 /// setup RNG, same arena-pooled [`GroupKeyCache`]), so a steady-state trial
 /// sees exactly the group landscape a single-broadcast trial at the same
 /// seed would.
@@ -288,27 +281,8 @@ pub fn flex_steady_prototypes_in(
     config: FlexConfig,
     seed: u64,
 ) -> Result<Vec<FlexNode>, HarnessError> {
-    config.validate()?;
-    let mut setup_rng = StdRng::seed_from_u64(seed ^ 0xD1F7_BEEF);
-    let all_nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    let groups = form_groups(&all_nodes, config.k, &mut setup_rng)?;
-
-    let (mut key_cache, scratch) = take_extras(arena, seed);
-    let mut memberships: Vec<Option<GroupMembership>> = (0..n).map(|_| None).collect();
-    for group in &groups {
-        for (node, membership) in build_memberships(group, &mut key_cache) {
-            memberships[node.index()] = Some(membership);
-        }
-    }
-    arena.store_extension(Box::new(HarnessExtras {
-        key_cache,
-        scratch: Rc::clone(&scratch),
-    }));
-
-    Ok(memberships
-        .into_iter()
-        .map(|membership| FlexNode::with_scratch(config, membership, Rc::clone(&scratch)))
-        .collect())
+    let (_, nodes) = form_flex_nodes(arena, n, config, seed)?;
+    Ok(nodes.collect())
 }
 
 /// The four dissemination strategies the experiments compare.
@@ -337,28 +311,14 @@ impl fmt::Display for ProtocolKind {
 
 /// Runs one broadcast of `kind` from `origin` over `graph` and returns the
 /// simulator metrics (with tracing enabled, so adversary estimators can be
-/// applied to the result).
+/// applied to the result). The simulator storage is checked out of
+/// `arena` (recycle the returned [`Metrics`] via
+/// [`TrialArena::recycle_metrics`] once aggregated).
 ///
 /// # Errors
 ///
 /// Only [`ProtocolKind::Flexible`] can fail (invalid config / group
 /// formation); the baselines always succeed.
-pub fn run_protocol(
-    kind: ProtocolKind,
-    graph: Graph,
-    origin: NodeId,
-    sim_config: SimConfig,
-) -> Result<Metrics, HarnessError> {
-    run_protocol_in(&mut TrialArena::new(), kind, graph, origin, sim_config)
-}
-
-/// Like [`run_protocol`], but reuses `arena`'s pooled simulator storage
-/// (recycle the returned [`Metrics`] via [`TrialArena::recycle_metrics`]
-/// once aggregated).
-///
-/// # Errors
-///
-/// Same failure modes as [`run_protocol`].
 pub fn run_protocol_in(
     arena: &mut TrialArena,
     kind: ProtocolKind,
@@ -410,7 +370,8 @@ mod tests {
     #[test]
     fn flexible_broadcast_reaches_every_node() {
         let graph = overlay(200, 1);
-        let report = run_flexible_broadcast(
+        let report = run_flexible_broadcast_in(
+            &mut TrialArena::new(),
             graph,
             NodeId::new(17),
             b"pay 3 tokens to bob".to_vec(),
@@ -440,7 +401,8 @@ mod tests {
     fn dc_phase_cost_scales_quadratically_with_k() {
         let graph = overlay(120, 2);
         let run = |k: usize| {
-            run_flexible_broadcast(
+            run_flexible_broadcast_in(
+                &mut TrialArena::new(),
                 graph.clone(),
                 NodeId::new(0),
                 b"tx".to_vec(),
@@ -463,7 +425,8 @@ mod tests {
     #[test]
     fn invalid_configurations_are_rejected() {
         let graph = overlay(50, 3);
-        let err = run_flexible_broadcast(
+        let err = run_flexible_broadcast_in(
+            &mut TrialArena::new(),
             graph.clone(),
             NodeId::new(0),
             b"tx".to_vec(),
@@ -473,7 +436,8 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, HarnessError::Config(_)));
 
-        let err = run_flexible_broadcast(
+        let err = run_flexible_broadcast_in(
+            &mut TrialArena::new(),
             graph.clone(),
             NodeId::new(999),
             b"tx".to_vec(),
@@ -485,7 +449,8 @@ mod tests {
 
         // Network smaller than k.
         let tiny = topology::complete(3).unwrap();
-        let err = run_flexible_broadcast(
+        let err = run_flexible_broadcast_in(
+            &mut TrialArena::new(),
             tiny,
             NodeId::new(0),
             b"tx".to_vec(),
@@ -510,7 +475,8 @@ mod tests {
             ProtocolKind::Flexible(FlexConfig::default()),
         ];
         for kind in kinds {
-            let metrics = run_protocol(
+            let metrics = run_protocol_in(
+                &mut TrialArena::new(),
                 kind,
                 graph.clone(),
                 NodeId::new(5),
@@ -529,7 +495,8 @@ mod tests {
     fn deterministic_under_fixed_seed() {
         let graph = overlay(100, 5);
         let run = || {
-            run_flexible_broadcast(
+            run_flexible_broadcast_in(
+                &mut TrialArena::new(),
                 graph.clone(),
                 NodeId::new(3),
                 b"tx".to_vec(),

@@ -31,13 +31,14 @@
 //! # Example: an anonymous broadcast over a 200-node overlay
 //!
 //! ```
-//! use fnp_core::{run_flexible_broadcast, FlexConfig};
-//! use fnp_netsim::{topology, NodeId, SimConfig};
+//! use fnp_core::{run_flexible_broadcast_in, FlexConfig};
+//! use fnp_netsim::{topology, NodeId, SimConfig, TrialArena};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let graph = topology::random_regular(200, 8, &mut rng)?;
-//! let report = run_flexible_broadcast(
+//! let report = run_flexible_broadcast_in(
+//!     &mut TrialArena::new(),
 //!     graph,
 //!     NodeId::new(42),
 //!     b"alice pays bob 3 tokens".to_vec(),
@@ -64,8 +65,8 @@ pub mod node;
 
 pub use config::{ConfigError, ElectionStrategy, FlexConfig};
 pub use harness::{
-    flex_steady_prototypes_in, node_key_pair, run_flexible_broadcast, run_flexible_broadcast_in,
-    run_protocol, run_protocol_in, FlexReport, HarnessError, ProtocolKind,
+    flex_steady_prototypes_in, node_key_pair, run_flexible_broadcast_in, run_protocol_in,
+    FlexReport, HarnessError, ProtocolKind,
 };
 pub use keycache::GroupKeyCache;
 pub use message::{FlexMessage, PHASE1_KINDS, PHASE2_KINDS, PHASE3_KINDS};

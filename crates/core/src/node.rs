@@ -756,12 +756,12 @@ mod tests {
 
     #[test]
     fn node_without_group_floods_directly() {
-        use fnp_netsim::{topology, SimConfig, Simulator};
+        use fnp_netsim::{topology, SimConfig, Simulator, TrialArena};
         let graph = topology::ring(10).unwrap();
         let nodes = (0..10)
             .map(|_| FlexNode::new(FlexConfig::default(), None))
             .collect();
-        let mut sim = Simulator::new(graph, nodes, SimConfig::default());
+        let mut sim = Simulator::new_in(&mut TrialArena::new(), graph, nodes, SimConfig::default());
         sim.trigger(NodeId::new(0), |node, view, out| {
             node.start_broadcast(b"tx".to_vec(), view, out);
         });

@@ -445,39 +445,26 @@ impl ExplicitRoundReport {
     }
 }
 
-/// Runs a complete explicit DC-net round in memory.
+/// Runs a complete explicit DC-net round in memory, drawing every slot,
+/// share and message buffer from `scratch` and recycling them all when
+/// the round completes.
 ///
 /// `payloads[i]` is the payload member `i` wants to transmit this round
 /// (`None` for silent members). Returns the outcome as seen by every member
 /// together with the exact message and byte counts of the round, which is
 /// what experiment E4 reports.
 ///
+/// An explicit round moves `4·k·(k−1) + k` buffers of `slot_len` bytes;
+/// with a warm scratch none of them is allocated. For the same RNG seed
+/// the report is byte-for-byte identical whether `scratch` is warm or a
+/// fresh [`RoundScratch::new`] (the fill sequence is preserved exactly),
+/// which is what lets the experiment harnesses pool buffers across trials
+/// without perturbing any published figure.
+///
 /// # Errors
 ///
 /// Fails if the group is smaller than two members or a payload exceeds the
 /// slot capacity.
-pub fn run_explicit_round<R: Rng + ?Sized>(
-    payloads: &[Option<Vec<u8>>],
-    slot_len: usize,
-    rng: &mut R,
-) -> Result<ExplicitRoundReport, ExplicitRoundError> {
-    let mut scratch = RoundScratch::new();
-    run_explicit_round_in(payloads, slot_len, rng, &mut scratch)
-}
-
-/// Like [`run_explicit_round`], but drawing every slot, share and message
-/// buffer from `scratch` and recycling them all when the round completes.
-///
-/// An explicit round moves `4·k·(k−1) + k` buffers of `slot_len` bytes;
-/// with a warm scratch none of them is allocated. The report is
-/// byte-for-byte identical to the unpooled driver for the same RNG seed
-/// (the fill sequence is preserved exactly), which is what lets the
-/// experiment harnesses pool buffers across trials without perturbing any
-/// published figure.
-///
-/// # Errors
-///
-/// Same conditions as [`run_explicit_round`].
 pub fn run_explicit_round_in<R: Rng + ?Sized>(
     payloads: &[Option<Vec<u8>>],
     slot_len: usize,
@@ -593,7 +580,8 @@ mod tests {
     #[test]
     fn silent_round_yields_silence_for_everyone() {
         let payloads = vec![None; 5];
-        let report = run_explicit_round(&payloads, 64, &mut rng(1)).unwrap();
+        let report =
+            run_explicit_round_in(&payloads, 64, &mut rng(1), &mut RoundScratch::new()).unwrap();
         assert!(report.outcomes.iter().all(|o| *o == SlotOutcome::Silence));
         assert!(report.is_unanimous());
         assert_eq!(report.messages_sent, expected_message_count(5));
@@ -604,7 +592,8 @@ mod tests {
         let message = b"pay 3 tokens to dave".to_vec();
         let mut payloads = vec![None; 6];
         payloads[2] = Some(message.clone());
-        let report = run_explicit_round(&payloads, 128, &mut rng(2)).unwrap();
+        let report =
+            run_explicit_round_in(&payloads, 128, &mut rng(2), &mut RoundScratch::new()).unwrap();
         for outcome in &report.outcomes {
             assert_eq!(*outcome, SlotOutcome::Message(message.clone()));
         }
@@ -617,7 +606,8 @@ mod tests {
         let mut payloads = vec![None; 5];
         payloads[0] = Some(b"first".to_vec());
         payloads[3] = Some(b"second".to_vec());
-        let report = run_explicit_round(&payloads, 64, &mut rng(3)).unwrap();
+        let report =
+            run_explicit_round_in(&payloads, 64, &mut rng(3), &mut RoundScratch::new()).unwrap();
         // All silent members detect the collision; the two senders each see
         // their own message (they cannot tell yet that it was destroyed —
         // they learn that from the absence of propagation / a repeat round).
@@ -633,14 +623,20 @@ mod tests {
     #[test]
     fn minimum_group_of_two_works() {
         let payloads = vec![Some(b"hi".to_vec()), None];
-        let report = run_explicit_round(&payloads, 32, &mut rng(4)).unwrap();
+        let report =
+            run_explicit_round_in(&payloads, 32, &mut rng(4), &mut RoundScratch::new()).unwrap();
         assert_eq!(report.outcomes[1], SlotOutcome::Message(b"hi".to_vec()));
         assert_eq!(report.messages_sent, expected_message_count(2));
     }
 
     #[test]
     fn group_of_one_is_rejected() {
-        let result = run_explicit_round(&[Some(b"hi".to_vec())], 32, &mut rng(5));
+        let result = run_explicit_round_in(
+            &[Some(b"hi".to_vec())],
+            32,
+            &mut rng(5),
+            &mut RoundScratch::new(),
+        );
         assert!(matches!(
             result,
             Err(ExplicitRoundError::GroupTooSmall { size: 1 })
@@ -650,7 +646,7 @@ mod tests {
     #[test]
     fn oversized_payload_is_rejected() {
         let payloads = vec![Some(vec![0u8; 100]), None, None];
-        let result = run_explicit_round(&payloads, 64, &mut rng(6));
+        let result = run_explicit_round_in(&payloads, 64, &mut rng(6), &mut RoundScratch::new());
         assert!(matches!(
             result,
             Err(ExplicitRoundError::PayloadTooLarge(_))
@@ -663,7 +659,9 @@ mod tests {
         let mut previous = 0;
         for k in 2..=12 {
             let payloads = vec![None; k];
-            let report = run_explicit_round(&payloads, 32, &mut rng(7)).unwrap();
+            let report =
+                run_explicit_round_in(&payloads, 32, &mut rng(7), &mut RoundScratch::new())
+                    .unwrap();
             assert_eq!(report.messages_sent, expected_message_count(k));
             assert!(report.messages_sent > previous);
             previous = report.messages_sent;
@@ -759,7 +757,9 @@ mod tests {
             let sender = sender % size;
             let mut payloads = vec![None; size];
             payloads[sender] = Some(payload.clone());
-            let report = run_explicit_round(&payloads, 64, &mut rng(seed)).unwrap();
+            let mut scratch = RoundScratch::new();
+            let report =
+                run_explicit_round_in(&payloads, 64, &mut rng(seed), &mut scratch).unwrap();
             for (index, outcome) in report.outcomes.iter().enumerate() {
                 if index != sender {
                     prop_assert_eq!(outcome, &SlotOutcome::Message(payload.clone()));
@@ -779,7 +779,9 @@ mod tests {
             let mut payloads = vec![None; size];
             payloads[0] = Some(payload_a);
             payloads[1] = Some(payload_b);
-            let report = run_explicit_round(&payloads, 64, &mut rng(seed)).unwrap();
+            let mut scratch = RoundScratch::new();
+            let report =
+                run_explicit_round_in(&payloads, 64, &mut rng(seed), &mut scratch).unwrap();
             for outcome in report.outcomes.iter().skip(2) {
                 prop_assert_eq!(outcome, &SlotOutcome::Collision);
             }

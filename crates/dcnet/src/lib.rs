@@ -65,9 +65,7 @@ pub use blame::{
     investigate, investigate_in, BlamePolicy, BlameReason, BlameVerdict, MemberRevelation,
     RoundEvidence,
 };
-pub use explicit::{
-    run_explicit_round, run_explicit_round_in, ExplicitParticipant, ExplicitRoundReport,
-};
+pub use explicit::{run_explicit_round_in, ExplicitParticipant, ExplicitRoundReport};
 pub use keyed::{
     combine_contributions, combine_contributions_into, KeyedDcGroup, KeyedParticipant,
     KeyedRoundReport,
@@ -105,7 +103,9 @@ mod tests {
                 }
             }
 
-            let explicit_report = run_explicit_round(&payloads, slot_len, &mut rng).unwrap();
+            let explicit_report =
+                run_explicit_round_in(&payloads, slot_len, &mut rng, &mut RoundScratch::new())
+                    .unwrap();
             let mut keyed_group = KeyedDcGroup::new(size, slot_len, &mut rng).unwrap();
             let keyed_report = keyed_group.run_round(0, &payloads).unwrap();
 
@@ -139,7 +139,9 @@ mod tests {
                         payloads[size - 1] = Some(b"second".to_vec());
                     }
                 }
-                let explicit_report = run_explicit_round(&payloads, slot_len, &mut rng).unwrap();
+                let explicit_report =
+                    run_explicit_round_in(&payloads, slot_len, &mut rng, &mut RoundScratch::new())
+                        .unwrap();
                 let mut keyed_group = KeyedDcGroup::new(size, slot_len, &mut rng).unwrap();
                 let keyed_report = keyed_group.run_round(0, &payloads).unwrap();
                 // Member 1 is silent in every scenario.
@@ -173,8 +175,13 @@ mod tests {
                 &mut scratch,
             )
             .unwrap();
-            let fresh =
-                run_explicit_round(&payloads, 96, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let fresh = run_explicit_round_in(
+                &payloads,
+                96,
+                &mut StdRng::seed_from_u64(seed),
+                &mut RoundScratch::new(),
+            )
+            .unwrap();
             assert_eq!(pooled, fresh, "step {step} (k={k})");
         }
         // The pool kept every buffer it handed out, ready for reuse.

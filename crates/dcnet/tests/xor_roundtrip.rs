@@ -3,7 +3,9 @@
 //! slot's message — and nothing else. Exercised for random group sizes and
 //! payloads over both the keyed and the explicit variant.
 
-use fnp_dcnet::{combine_contributions, run_explicit_round, KeyedDcGroup, SlotOutcome};
+use fnp_dcnet::{
+    combine_contributions, run_explicit_round_in, KeyedDcGroup, RoundScratch, SlotOutcome,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -85,11 +87,10 @@ proptest! {
     ) {
         let sender = (sender_pick % k as u64) as usize;
         let mut rng = StdRng::seed_from_u64(seed);
-        let report = run_explicit_round(
+        let report = run_explicit_round_in(
             &payloads_with_one_sender(k, sender, &payload),
             SLOT_LEN,
-            &mut rng,
-        )
+            &mut rng, &mut RoundScratch::new())
         .unwrap();
         prop_assert!(report.is_unanimous());
         prop_assert_eq!(report.outcomes.len(), k);

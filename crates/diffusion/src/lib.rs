@@ -18,13 +18,14 @@
 //! # Example
 //!
 //! ```
-//! use fnp_diffusion::{run_adaptive_diffusion, AdParams};
-//! use fnp_netsim::{topology, NodeId, SimConfig};
+//! use fnp_diffusion::{run_adaptive_diffusion_in, AdParams};
+//! use fnp_netsim::{topology, NodeId, SimConfig, TrialArena};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let graph = topology::random_regular(100, 4, &mut rng)?;
-//! let report = run_adaptive_diffusion(
+//! let report = run_adaptive_diffusion_in(
+//!     &mut TrialArena::new(),
 //!     graph,
 //!     NodeId::new(0),
 //!     AdParams { max_rounds: 64, ..AdParams::default() },
@@ -44,12 +45,12 @@ pub mod report;
 
 pub use alpha::AlphaSchedule;
 pub use protocol::{AdMessage, AdParams, AdaptiveDiffusionNode};
-pub use report::{run_adaptive_diffusion, run_adaptive_diffusion_in, DiffusionReport};
+pub use report::{run_adaptive_diffusion_in, DiffusionReport};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use fnp_netsim::{topology, NodeId, SimConfig};
+    use fnp_netsim::{topology, NodeId, SimConfig, TrialArena};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -70,7 +71,8 @@ mod proptests {
             let origin = NodeId::new(origin % n);
             let mut rng = StdRng::seed_from_u64(seed);
             let graph = topology::random_regular(n, 4, &mut rng).unwrap();
-            let report = run_adaptive_diffusion(
+            let report = run_adaptive_diffusion_in(
+                &mut TrialArena::new(),
                 graph,
                 origin,
                 AdParams { max_rounds: 128, ..AdParams::default() },

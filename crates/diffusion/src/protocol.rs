@@ -410,7 +410,7 @@ impl SteadyProtocol for AdaptiveDiffusionNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fnp_netsim::{topology, LatencyModel, SimConfig, Simulator};
+    use fnp_netsim::{topology, LatencyModel, SimConfig, Simulator, TrialArena};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -423,7 +423,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = topology::random_regular(n, degree, &mut rng).unwrap();
         let nodes = (0..n).map(|_| AdaptiveDiffusionNode::new(params)).collect();
-        let mut sim = Simulator::new(
+        let mut sim = Simulator::new_in(
+            &mut TrialArena::new(),
             graph,
             nodes,
             SimConfig {
@@ -445,7 +446,6 @@ mod tests {
 
     #[test]
     fn steady_diffusion_broadcasts_overlap_and_complete() {
-        use fnp_netsim::TrialArena;
         use fnp_proto::steady::{run_steady_in, Arrival};
         let n = 30;
         let mut rng = StdRng::seed_from_u64(5);
@@ -624,7 +624,7 @@ mod tests {
     fn isolated_origin_does_not_panic() {
         let graph = fnp_netsim::Graph::new(1);
         let nodes = vec![AdaptiveDiffusionNode::new(AdParams::default())];
-        let mut sim = Simulator::new(graph, nodes, SimConfig::default());
+        let mut sim = Simulator::new_in(&mut TrialArena::new(), graph, nodes, SimConfig::default());
         sim.trigger(NodeId::new(0), |node, view, out| {
             node.start_broadcast(view, out)
         });

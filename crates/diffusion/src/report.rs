@@ -61,7 +61,9 @@ impl DiffusionReport {
     }
 }
 
-/// Runs one adaptive diffusion broadcast from `origin` over `graph`.
+/// Runs one adaptive diffusion broadcast from `origin` over `graph`,
+/// checking the simulator storage out of `arena` (recycle the report's
+/// [`Metrics`] via [`TrialArena::recycle_metrics`] once aggregated).
 ///
 /// The simulation is stepped until either the event queue drains or every
 /// node has received the message; in the latter case
@@ -70,18 +72,6 @@ impl DiffusionReport {
 /// "messages ... to reach all peers" accounting. The configuration's
 /// `record_trace` flag is forced on so the report can also be replayed by
 /// adversary estimators.
-pub fn run_adaptive_diffusion(
-    graph: Graph,
-    origin: NodeId,
-    params: AdParams,
-    config: SimConfig,
-) -> DiffusionReport {
-    run_adaptive_diffusion_in(&mut TrialArena::new(), graph, origin, params, config)
-}
-
-/// Like [`run_adaptive_diffusion`], but reuses `arena`'s pooled simulator
-/// storage (recycle the report's [`Metrics`] via
-/// [`TrialArena::recycle_metrics`] once aggregated).
 pub fn run_adaptive_diffusion_in(
     arena: &mut TrialArena,
     graph: Graph,
@@ -127,7 +117,8 @@ mod tests {
             max_rounds: 64,
             ..AdParams::default()
         };
-        let report = run_adaptive_diffusion(
+        let report = run_adaptive_diffusion_in(
+            &mut TrialArena::new(),
             graph,
             NodeId::new(5),
             params,
@@ -151,7 +142,8 @@ mod tests {
             max_rounds: 3,
             ..AdParams::default()
         };
-        let report = run_adaptive_diffusion(
+        let report = run_adaptive_diffusion_in(
+            &mut TrialArena::new(),
             graph,
             NodeId::new(0),
             params,
@@ -170,7 +162,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let graph = topology::random_regular(60, 4, &mut rng).unwrap();
         let params = AdParams::default();
-        let a = run_adaptive_diffusion(
+        let a = run_adaptive_diffusion_in(
+            &mut TrialArena::new(),
             graph.clone(),
             NodeId::new(1),
             params,
@@ -179,7 +172,8 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        let b = run_adaptive_diffusion(
+        let b = run_adaptive_diffusion_in(
+            &mut TrialArena::new(),
             graph,
             NodeId::new(1),
             params,

@@ -274,29 +274,13 @@ pub struct DandelionReport {
 }
 
 /// Runs one Dandelion broadcast of `tx_id` from `origin` over `graph`,
-/// using `line` as the epoch's stem line.
-pub fn run_dandelion(
-    graph: Graph,
-    line: &StemLine,
-    origin: NodeId,
-    tx_id: u64,
-    params: DandelionParams,
-    config: SimConfig,
-) -> DandelionReport {
-    run_dandelion_in(
-        &mut TrialArena::new(),
-        graph,
-        line,
-        origin,
-        tx_id,
-        params,
-        config,
-    )
-}
-
-/// Like [`run_dandelion`], but reuses `arena`'s pooled simulator storage
-/// (recycle the report's [`Metrics`] via [`TrialArena::recycle_metrics`]
-/// once aggregated).
+/// using `line` as the epoch's stem line. The simulator storage is checked
+/// out of `arena` and returned there afterwards (recycle the report's
+/// [`Metrics`] via [`TrialArena::recycle_metrics`] once aggregated).
+///
+/// # Panics
+///
+/// Panics if `line` does not cover exactly the overlay's nodes.
 pub fn run_dandelion_in(
     arena: &mut TrialArena,
     graph: Graph,
@@ -437,7 +421,8 @@ mod tests {
     #[test]
     fn dandelion_reaches_every_node() {
         let (graph, line) = setup(300, 4);
-        let report = run_dandelion(
+        let report = run_dandelion_in(
+            &mut TrialArena::new(),
             graph,
             &line,
             NodeId::new(17),
@@ -455,7 +440,8 @@ mod tests {
     #[test]
     fn stem_phase_produces_a_line_of_relays() {
         let (graph, line) = setup(200, 5);
-        let report = run_dandelion(
+        let report = run_dandelion_in(
+            &mut TrialArena::new(),
             graph,
             &line,
             NodeId::new(0),
@@ -479,7 +465,8 @@ mod tests {
     #[test]
     fn zero_stem_probability_degenerates_to_flooding() {
         let (graph, line) = setup(100, 6);
-        let report = run_dandelion(
+        let report = run_dandelion_in(
+            &mut TrialArena::new(),
             graph,
             &line,
             NodeId::new(9),
@@ -503,7 +490,8 @@ mod tests {
         let (graph, line) = setup(200, 7);
         let mut not_origin = 0;
         for seed in 0..10u64 {
-            let report = run_dandelion(
+            let report = run_dandelion_in(
+                &mut TrialArena::new(),
                 graph.clone(),
                 &line,
                 NodeId::new(3),
@@ -529,7 +517,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let wrong_line = StemLine::random(10, &mut rng);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_dandelion(
+            run_dandelion_in(
+                &mut TrialArena::new(),
                 graph,
                 &wrong_line,
                 NodeId::new(0),
@@ -575,7 +564,8 @@ mod tests {
                 let line = StemLine::random(n, &mut rng);
                 (graph, line)
             };
-            let report = run_dandelion(
+            let report = run_dandelion_in(
+                &mut TrialArena::new(),
                 graph,
                 &line,
                 NodeId::new(origin % n),

@@ -106,14 +106,9 @@ impl SteadyProtocol for FloodNode {
 }
 
 /// Runs one flood-and-prune broadcast of `tx_id` from `origin` over `graph`
-/// and returns the collected metrics.
-pub fn run_flood(graph: Graph, origin: NodeId, tx_id: u64, config: SimConfig) -> Metrics {
-    run_flood_in(&mut TrialArena::new(), graph, origin, tx_id, config)
-}
-
-/// Like [`run_flood`], but reuses `arena`'s pooled simulator storage and
-/// returns it there afterwards (recycle the returned [`Metrics`] via
-/// [`TrialArena::recycle_metrics`] once aggregated).
+/// and returns the collected metrics. The simulator storage is checked out
+/// of `arena` and returned there afterwards (recycle the returned
+/// [`Metrics`] via [`TrialArena::recycle_metrics`] once aggregated).
 pub fn run_flood_in(
     arena: &mut TrialArena,
     graph: Graph,
@@ -146,7 +141,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let graph = topology::random_regular(200, 8, &mut rng).unwrap();
         let edges = graph.edge_count() as u64;
-        let metrics = run_flood(graph, NodeId::new(0), 7, SimConfig::default());
+        let metrics = run_flood_in(
+            &mut TrialArena::new(),
+            graph,
+            NodeId::new(0),
+            7,
+            SimConfig::default(),
+        );
         assert_eq!(metrics.coverage(), 1.0);
         // Every node forwards once to all-but-one neighbour: the total is
         // bounded by 2|E| and must be at least n − 1.
@@ -161,7 +162,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let graph = topology::random_regular(1000, 8, &mut rng).unwrap();
         let expected = 2 * graph.edge_count() as u64 - 999;
-        let metrics = run_flood(graph, NodeId::new(3), 1, SimConfig::default());
+        let metrics = run_flood_in(
+            &mut TrialArena::new(),
+            graph,
+            NodeId::new(3),
+            1,
+            SimConfig::default(),
+        );
         assert_eq!(metrics.coverage(), 1.0);
         let diff = metrics.messages_sent.abs_diff(expected);
         // Concurrent cross-edges can add a handful of duplicate sends.
@@ -176,7 +183,13 @@ mod tests {
     #[test]
     fn only_flood_kind_messages_are_sent() {
         let graph = topology::ring(10).unwrap();
-        let metrics = run_flood(graph, NodeId::new(0), 1, SimConfig::default());
+        let metrics = run_flood_in(
+            &mut TrialArena::new(),
+            graph,
+            NodeId::new(0),
+            1,
+            SimConfig::default(),
+        );
         assert_eq!(metrics.messages_by_kind().len(), 1);
         assert!(metrics.messages_of_kind("flood") > 0);
         assert_eq!(metrics.bytes_sent, metrics.messages_sent * 256);
@@ -186,7 +199,7 @@ mod tests {
     fn origin_is_marked() {
         let graph = topology::line(3).unwrap();
         let nodes = (0..3).map(|_| FloodNode::new()).collect();
-        let mut sim = Simulator::new(graph, nodes, SimConfig::default());
+        let mut sim = Simulator::new_in(&mut TrialArena::new(), graph, nodes, SimConfig::default());
         sim.trigger(NodeId::new(1), |node, view, out| {
             node.start_broadcast(9, view, out)
         });
@@ -215,7 +228,13 @@ mod tests {
         arena.recycle_metrics(a_reused);
         let b_reused = run_flood_in(&mut arena, overlay(2), NodeId::new(3), 2, config(2));
         // …must match trial B through a fresh arena, byte for byte.
-        let b_fresh = run_flood(overlay(2), NodeId::new(3), 2, config(2));
+        let b_fresh = run_flood_in(
+            &mut TrialArena::new(),
+            overlay(2),
+            NodeId::new(3),
+            2,
+            config(2),
+        );
         assert_eq!(format!("{b_reused:?}"), format!("{b_fresh:?}"));
     }
 
@@ -223,7 +242,7 @@ mod tests {
     fn double_start_is_idempotent() {
         let graph = topology::line(2).unwrap();
         let nodes = (0..2).map(|_| FloodNode::new()).collect();
-        let mut sim = Simulator::new(graph, nodes, SimConfig::default());
+        let mut sim = Simulator::new_in(&mut TrialArena::new(), graph, nodes, SimConfig::default());
         sim.trigger(NodeId::new(0), |node, view, out| {
             node.start_broadcast(1, view, out);
             node.start_broadcast(1, view, out);
@@ -247,7 +266,8 @@ mod tests {
             let graph = topology::erdos_renyi(n, 0.3, &mut rng)
                 .or_else(|_| topology::ring(n))
                 .unwrap();
-            let metrics = run_flood(
+            let metrics = run_flood_in(
+                &mut TrialArena::new(),
                 graph,
                 NodeId::new(origin % n),
                 42,

@@ -17,19 +17,22 @@
 //! # Example
 //!
 //! ```
-//! use fnp_gossip::{run_flood, run_dandelion, DandelionParams, StemLine};
-//! use fnp_netsim::{topology, NodeId, SimConfig};
+//! use fnp_gossip::{run_flood_in, run_dandelion_in, DandelionParams, StemLine};
+//! use fnp_netsim::{topology, NodeId, SimConfig, TrialArena};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let graph = topology::random_regular(100, 8, &mut rng)?;
 //!
-//! let flood = run_flood(graph.clone(), NodeId::new(0), 1, SimConfig::default());
+//! // One arena carries the simulator storage from run to run.
+//! let mut arena = TrialArena::new();
+//! let flood = run_flood_in(&mut arena, graph.clone(), NodeId::new(0), 1, SimConfig::default());
 //! assert_eq!(flood.coverage(), 1.0);
 //!
 //! let line = StemLine::random(100, &mut rng);
-//! let dandelion = run_dandelion(
-//!     graph, &line, NodeId::new(0), 1, DandelionParams::default(), SimConfig::default(),
+//! let dandelion = run_dandelion_in(
+//!     &mut arena, graph, &line, NodeId::new(0), 1,
+//!     DandelionParams::default(), SimConfig::default(),
 //! );
 //! assert_eq!(dandelion.metrics.coverage(), 1.0);
 //! # Ok::<(), fnp_netsim::GenerateTopologyError>(())
@@ -43,15 +46,14 @@ pub mod dandelion;
 pub mod flood;
 
 pub use dandelion::{
-    run_dandelion, run_dandelion_in, DandelionMessage, DandelionNode, DandelionParams,
-    DandelionReport, StemLine,
+    run_dandelion_in, DandelionMessage, DandelionNode, DandelionParams, DandelionReport, StemLine,
 };
-pub use flood::{run_flood, run_flood_in, FloodMessage, FloodNode};
+pub use flood::{run_flood_in, FloodMessage, FloodNode};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fnp_netsim::{topology, NodeId, SimConfig};
+    use fnp_netsim::{topology, NodeId, SimConfig, TrialArena};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -64,7 +66,8 @@ mod tests {
         let graph = topology::random_regular(300, 8, &mut rng).unwrap();
         let line = StemLine::random(300, &mut rng);
 
-        let flood = run_flood(
+        let flood = run_flood_in(
+            &mut TrialArena::new(),
             graph.clone(),
             NodeId::new(0),
             1,
@@ -73,7 +76,8 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        let dandelion = run_dandelion(
+        let dandelion = run_dandelion_in(
+            &mut TrialArena::new(),
             graph,
             &line,
             NodeId::new(0),

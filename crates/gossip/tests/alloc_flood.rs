@@ -94,10 +94,11 @@ fn reused_arena_flood_heap_traffic_is_pinned() {
     // arena takes back the node vector and the event wheel, and 11 event
     // bucket regrowths (the wheel rotates its bucket buffers, so a bucket
     // can meet a trial's peak with a smaller buffer than last time).
-    // Debug builds also regrow the wheel's shadow reference heap, and box
-    // a larger wheel.
+    // Debug builds box a larger wheel (it carries a shadow reference heap,
+    // whose capacity the checkout reset keeps because the warm-up trial
+    // peaked above the retain floor).
     let expected = if cfg!(debug_assertions) {
-        (2_019, 418_708)
+        (2_013, 160_660)
     } else {
         (2_013, 160_636)
     };

@@ -14,9 +14,10 @@
 //! ([`Simulator::into_parts_in`](crate::Simulator::into_parts_in)); the
 //! next trial checks the same buffers out again, *reset* rather than
 //! reallocated. Because every checkout fully re-zeroes the storage
-//! (`Graph::reset`, `Metrics::reset`, `HotState::reset`, cleared queue and
-//! node vectors), a reused arena is observationally identical to a fresh
-//! one — the arena-reuse determinism suite asserts byte-identical rows.
+//! (`Graph::reset`, `Metrics::reset`, `HotState::reset`, the reset event
+//! queue and cleared node vectors), a reused arena is observationally
+//! identical to a fresh one — the arena-reuse determinism suite asserts
+//! byte-identical rows.
 //!
 //! The event-queue and node-vector pools are type-erased (`Box<dyn Any>`)
 //! because their element types are protocol-specific; a checkout under a
@@ -42,8 +43,9 @@ pub struct TrialArena {
     graph: Option<Graph>,
     metrics: Option<Metrics>,
     hot: Option<HotState>,
-    /// Cleared event-queue time-wheel of the previous trial, type-erased
-    /// (`TimeWheel<Event<M>>` for whatever `M` ran last).
+    /// Event-queue time-wheel of the previous trial, type-erased
+    /// (`TimeWheel<Event<M>>` for whatever `M` ran last); reset at
+    /// checkout, not on return.
     queue: Option<Box<dyn Any>>,
     /// Cleared node-state vector of the previous trial, type-erased
     /// (`Vec<N>` for whatever protocol ran last).
@@ -118,28 +120,24 @@ impl TrialArena {
         self.hot = Some(hot);
     }
 
-    /// Checks out an empty event-queue time-wheel, reusing the pooled one
-    /// when the previous trial used the same event type. The simulator
-    /// re-arms the wheel (bucket width, window) for its latency model
-    /// before use, so a pooled wheel only contributes its allocations.
+    /// Checks out the pooled event-queue time-wheel when the previous trial
+    /// used the same event type, or an empty one otherwise. The caller
+    /// must [`TimeWheel::reset`] it before use: that single reset drops any
+    /// leftover events and clamps the pooled capacity against the peak of
+    /// the trial that just ended.
     pub(crate) fn take_queue<T: WheelItem + 'static>(&mut self) -> TimeWheel<T> {
         match self.queue.take() {
-            Some(boxed) => match boxed.downcast::<TimeWheel<T>>() {
-                Ok(wheel) => {
-                    debug_assert_eq!(wheel.len(), 0, "pooled wheels are stored cleared");
-                    *wheel
-                }
-                Err(_) => TimeWheel::empty(),
-            },
+            Some(boxed) => boxed
+                .downcast::<TimeWheel<T>>()
+                .map_or_else(|_| TimeWheel::empty(), |wheel| *wheel),
             None => TimeWheel::empty(),
         }
     }
 
-    /// Returns an event-queue time-wheel to the pool (cleared here; any
-    /// events still queued — e.g. after an early-stopped run — are
-    /// dropped).
-    pub(crate) fn store_queue<T: WheelItem + 'static>(&mut self, mut queue: TimeWheel<T>) {
-        queue.clear();
+    /// Returns an event-queue time-wheel to the pool as it is. Events still
+    /// queued (e.g. after an early-stopped run) are dropped by the reset at
+    /// the next checkout.
+    pub(crate) fn store_queue<T: WheelItem + 'static>(&mut self, queue: TimeWheel<T>) {
         self.queue = Some(Box::new(queue));
     }
 
@@ -304,8 +302,10 @@ mod tests {
         queue.reset(10);
         queue.push(Tick(9));
         arena.store_queue(queue);
-        // Same event type: the wheel comes back, cleared.
+        // Same event type: the wheel comes back, emptied by the checkout
+        // reset.
         let mut reused: TimeWheel<Tick> = arena.take_queue();
+        reused.reset(10);
         assert_eq!(reused.len(), 0);
         assert!(reused.pop().is_none());
         arena.store_queue(reused);

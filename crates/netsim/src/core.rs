@@ -22,7 +22,7 @@ use crate::view::NodeView;
 /// ```
 /// use fnp_netsim::{
 ///     Graph, HotLanes, Input, Mailbox, NodeId, NodeView, Payload, ProtocolCore, SimConfig,
-///     Simulator,
+///     Simulator, TrialArena,
 /// };
 ///
 /// #[derive(Clone, Debug)]
@@ -48,7 +48,8 @@ use crate::view::NodeView;
 /// let mut graph = Graph::new(3);
 /// graph.add_edge(NodeId::new(0), NodeId::new(1));
 /// graph.add_edge(NodeId::new(1), NodeId::new(2));
-/// let mut sim = Simulator::new(graph, vec![Flood, Flood, Flood], SimConfig::default());
+/// let flood = vec![Flood, Flood, Flood];
+/// let mut sim = Simulator::new_in(&mut TrialArena::new(), graph, flood, SimConfig::default());
 /// sim.trigger(NodeId::new(0), |_core, view, out| {
 ///     view.set_seen();
 ///     out.deliver();

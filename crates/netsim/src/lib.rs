@@ -44,7 +44,7 @@
 //! ```
 //! use fnp_netsim::{
 //!     topology, HotLanes, Input, Mailbox, NodeId, NodeView, Payload, ProtocolCore, SimConfig,
-//!     Simulator,
+//!     Simulator, TrialArena,
 //! };
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -70,7 +70,7 @@
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let graph = topology::random_regular(100, 8, &mut rng)?;
 //! let nodes = (0..100).map(|_| Flooder).collect();
-//! let mut sim = Simulator::new(graph, nodes, SimConfig::default());
+//! let mut sim = Simulator::new_in(&mut TrialArena::new(), graph, nodes, SimConfig::default());
 //! sim.trigger(NodeId::new(0), |_core, view, out| {
 //!     view.set_seen();
 //!     out.deliver();
@@ -124,7 +124,7 @@ pub use mailbox::{Effect, Input, Mailbox};
 pub use message::{Payload, TestPayload};
 pub use metrics::{KindId, KindRegistry, Metrics, TraceEntry};
 pub use node::NodeId;
-pub use runner::{derive_seed, GridPlan, TrialPlan, TrialRunner};
+pub use runner::{derive_seed, GridPlan, TrialRunner};
 pub use sim::{Context, SimConfig, Simulator};
 pub use stats::{entropy_bits, percentile, summarize, Summary};
 pub use time::{as_millis, from_millis, SimTime, MILLISECOND, SECOND};
@@ -216,7 +216,8 @@ mod proptests {
                 .unwrap();
             let origin = NodeId::new(origin % n);
             let nodes = (0..n).map(|_| Flooder::default()).collect();
-            let mut sim = Simulator::new(graph, nodes, SimConfig { seed, ..SimConfig::default() });
+            let config = SimConfig { seed, ..SimConfig::default() };
+            let mut sim = Simulator::new_in(&mut TrialArena::new(), graph, nodes, config);
             sim.trigger(origin, |node, _view, out| {
                 node.seen = true;
                 out.deliver();

@@ -16,6 +16,7 @@
 //! ```
 //! use fnp_netsim::{
 //!     Graph, Input, Mailbox, NodeId, NodeView, Payload, ProtocolCore, SimConfig, Simulator,
+//!     TrialArena,
 //! };
 //!
 //! #[derive(Clone, Debug)]
@@ -36,7 +37,8 @@
 //!
 //! let mut graph = Graph::new(2);
 //! graph.add_edge(NodeId::new(0), NodeId::new(1));
-//! let mut sim = Simulator::new(graph, vec![Node, Node], SimConfig::default());
+//! let nodes = vec![Node, Node];
+//! let mut sim = Simulator::new_in(&mut TrialArena::new(), graph, nodes, SimConfig::default());
 //! sim.trigger(NodeId::new(0), |_core, view, out| {
 //!     let peer = view.neighbors()[0];
 //!     out.send(peer, Ping);
@@ -254,70 +256,45 @@ pub struct Simulator<C: ProtocolCore> {
 }
 
 impl<C: ProtocolCore> Simulator<C> {
-    /// Creates a simulator over `graph` with one protocol core per node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the number of graph nodes.
-    pub fn new(graph: Graph, nodes: Vec<C>, config: SimConfig) -> Self {
-        let n = graph.node_count();
-        Self::assemble(
-            graph,
-            nodes,
-            HotState::new(n),
-            TimeWheel::empty(),
-            Metrics::new(n),
-            config,
-        )
-    }
-
-    /// Creates a simulator like [`Simulator::new`], checking the event
-    /// queue, metrics and hot-lane storage out of `arena` instead of
-    /// allocating them.
+    /// Creates a simulator over `graph` with one protocol core per node,
+    /// checking the event queue, metrics and hot-lane storage out of
+    /// `arena` instead of allocating them. A fresh [`TrialArena::new`]
+    /// hands out newly allocated storage, so one-off runs pass
+    /// `&mut TrialArena::new()`.
     ///
     /// Pair with [`Simulator::into_parts_in`] to return the storage after
     /// the run; see [`TrialArena`] for the trial lifecycle.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes.len()` differs from the number of graph nodes.
+    /// Panics if `nodes.len()` differs from the number of graph nodes, or
+    /// if `config.latency` is invalid.
     pub fn new_in(arena: &mut TrialArena, graph: Graph, nodes: Vec<C>, config: SimConfig) -> Self {
         let n = graph.node_count();
-        let queue = arena.take_queue::<Event<C::Message>>();
-        Self::assemble(graph, nodes, arena.hot(n), queue, arena.metrics(n), config)
-    }
-
-    fn assemble(
-        graph: Graph,
-        nodes: Vec<C>,
-        hot: HotState,
-        mut queue: TimeWheel<Event<C::Message>>,
-        metrics: Metrics,
-        config: SimConfig,
-    ) -> Self {
         assert_eq!(
-            graph.node_count(),
+            n,
             nodes.len(),
             "need exactly one protocol state machine per graph node ({} vs {})",
-            graph.node_count(),
+            n,
             nodes.len()
         );
         if let Err(error) = config.latency.validate() {
             panic!("{error}");
         }
+        let mut queue = arena.take_queue::<Event<C::Message>>();
         queue.reset(wheel::width_for(config.latency.max_delay()));
         let rng = StdRng::seed_from_u64(config.seed);
         Self {
             graph,
             nodes,
-            hot,
+            hot: arena.hot(n),
             config,
             queue,
             mailbox: Mailbox::new(),
             now: 0,
             seq: 0,
             rng,
-            metrics,
+            metrics: arena.metrics(n),
             initialized: false,
         }
     }
@@ -353,13 +330,9 @@ impl<C: ProtocolCore> Simulator<C> {
         &self.hot
     }
 
-    /// Consumes the simulator, returning the node cores and metrics.
-    pub fn into_parts(self) -> (Vec<C>, Metrics) {
-        (self.nodes, self.metrics)
-    }
-
-    /// Like [`Simulator::into_parts`], but returns the graph, event-queue
-    /// buffer and hot lanes to `arena` for the next trial to reuse.
+    /// Consumes the simulator, returning the node cores and metrics, and
+    /// hands the graph, event-queue buffer and hot lanes back to `arena`
+    /// for the next trial to reuse.
     pub fn into_parts_in(self, arena: &mut TrialArena) -> (Vec<C>, Metrics) {
         arena.store_graph(self.graph);
         arena.store_queue(self.queue);
@@ -637,7 +610,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = topology::random_regular(n, 4, &mut rng).unwrap();
         let nodes = (0..n).map(|_| FloodNode::default()).collect();
-        Simulator::new(
+        Simulator::new_in(
+            &mut TrialArena::new(),
             graph,
             nodes,
             SimConfig {
@@ -702,7 +676,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let graph = topology::random_regular(20, 4, &mut rng).unwrap();
         let nodes = (0..20).map(|_| FloodNode::default()).collect();
-        let mut sim = Simulator::new(graph, nodes, SimConfig::default());
+        let mut sim = Simulator::new_in(&mut TrialArena::new(), graph, nodes, SimConfig::default());
         start_flood(&mut sim, NodeId::new(0));
         assert!(sim.run().trace.is_empty());
     }
@@ -713,7 +687,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(4);
             let graph = topology::random_regular(200, 6, &mut rng).unwrap();
             let nodes = (0..200).map(|_| FloodNode::default()).collect();
-            Simulator::new(
+            Simulator::new_in(
+                &mut TrialArena::new(),
                 graph,
                 nodes,
                 SimConfig {
@@ -732,7 +707,8 @@ mod tests {
     fn max_time_limit_drops_late_events() {
         let graph = topology::line(50).unwrap();
         let nodes = (0..50).map(|_| FloodNode::default()).collect();
-        let mut sim = Simulator::new(
+        let mut sim = Simulator::new_in(
+            &mut TrialArena::new(),
             graph,
             nodes,
             SimConfig {
@@ -752,7 +728,8 @@ mod tests {
     fn run_until_pauses_and_resumes() {
         let graph = topology::line(10).unwrap();
         let nodes = (0..10).map(|_| FloodNode::default()).collect();
-        let mut sim = Simulator::new(
+        let mut sim = Simulator::new_in(
+            &mut TrialArena::new(),
             graph,
             nodes,
             SimConfig {
@@ -800,7 +777,8 @@ mod tests {
             }
         }
         let graph = Graph::new(1);
-        let mut sim = Simulator::new(
+        let mut sim = Simulator::new_in(
+            &mut TrialArena::new(),
             graph,
             vec![TimerNode { fired: vec![] }],
             SimConfig::default(),
@@ -829,7 +807,12 @@ mod tests {
             }
         }
         // A single isolated node: no neighbours, so the fan-out is empty.
-        let mut sim = Simulator::new(Graph::new(1), vec![LonelyNode], SimConfig::default());
+        let mut sim = Simulator::new_in(
+            &mut TrialArena::new(),
+            Graph::new(1),
+            vec![LonelyNode],
+            SimConfig::default(),
+        );
         let metrics = sim.run();
         assert_eq!(metrics.messages_sent, 0);
         assert_eq!(metrics.messages_of_kind("lonely"), 0);
@@ -855,7 +838,8 @@ mod tests {
                 }
             }
         }
-        let mut sim = Simulator::new(
+        let mut sim = Simulator::new_in(
+            &mut TrialArena::new(),
             Graph::new(3),
             vec![CounterNode, CounterNode, CounterNode],
             SimConfig::default(),
@@ -868,7 +852,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "one protocol state machine per graph node")]
     fn mismatched_node_count_panics() {
-        let _ = Simulator::new(
+        let _ = Simulator::new_in(
+            &mut TrialArena::new(),
             Graph::new(3),
             vec![FloodNode::default()],
             SimConfig::default(),
@@ -880,7 +865,7 @@ mod tests {
         let mut sim = flood_sim(10, 6);
         start_flood(&mut sim, NodeId::new(0));
         sim.run();
-        let (nodes, metrics) = sim.into_parts();
+        let (nodes, metrics) = sim.into_parts_in(&mut TrialArena::new());
         assert_eq!(nodes.len(), 10);
         assert!(nodes.iter().all(|n| n.seen));
         assert_eq!(metrics.delivered_count(), 10);

@@ -200,14 +200,8 @@ impl<T: WheelItem> TimeWheel<T> {
         }
     }
 
-    /// Drops all queued events, keeping allocations (used when a wheel is
-    /// returned to a [`TrialArena`](crate::TrialArena) pool).
-    pub(crate) fn clear(&mut self) {
-        let width = self.width;
-        self.reset(width);
-    }
-
-    /// Number of queued events.
+    /// Number of queued events (test hook).
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -537,10 +531,10 @@ mod tests {
         wheel.reset(10);
         wheel.push((5, 0));
         wheel.push((500_000, 1));
-        wheel.clear();
+        wheel.reset(10);
         assert_eq!(wheel.len(), 0);
         assert_eq!(wheel.pop(), None);
-        // Re-armed after the clear, including for events that were beyond
+        // Re-armed after the reset, including for events that were beyond
         // the previous horizon.
         wheel.push((9, 2));
         assert_eq!(wheel.pop(), Some((9, 2)));
@@ -584,8 +578,8 @@ mod tests {
 
     #[test]
     fn reset_clamps_capacity_after_a_large_trial() {
-        // Grow-then-shrink-then-grow: a large trial's clear retains its
-        // capacity for reuse (the peak matches the demand), but the clear
+        // Grow-then-shrink-then-grow: a large trial's reset retains its
+        // capacity for reuse (the peak matches the demand), but the reset
         // after a subsequent small trial must release it — otherwise one
         // 10⁶-node trial pins hundreds of megabytes in the arena pool for
         // the rest of the process.
@@ -596,7 +590,7 @@ mod tests {
             let seq = seq as u64;
             wheel.push((seq % 4000, seq));
         }
-        wheel.clear();
+        wheel.reset(width_for(1050));
         let after_large = wheel.retained_capacity();
         let bound = 1000 * WHEEL_CLAMP_FACTOR + SLOTS * WHEEL_RETAIN_FLOOR * WHEEL_CLAMP_FACTOR;
         assert!(
@@ -608,11 +602,11 @@ mod tests {
             "large-trial capacity {after_large} must exceed the small-trial bound {bound} \
              for the shrink assertion below to be meaningful"
         );
-        // Small trial: its clear sees a small peak and shrinks the pool.
+        // Small trial: its reset sees a small peak and shrinks the pool.
         for seq in 0..1000u64 {
             wheel.push((seq % 4000, seq));
         }
-        wheel.clear();
+        wheel.reset(width_for(1050));
         let after_small = wheel.retained_capacity();
         assert!(
             after_small <= bound,
@@ -624,6 +618,30 @@ mod tests {
         }
         assert_eq!(wheel.len(), 10_000);
         drain_sorted(&mut wheel);
+    }
+
+    #[test]
+    fn arena_round_trip_keeps_the_capacity_the_last_trial_needed() {
+        // A pooled wheel is reset once, at checkout, against the peak of
+        // the trial that just ended; a second reset on the way into the
+        // pool would clamp against a peak of zero and shrink every large
+        // slot or heap to the retain floor.
+        let mut arena = crate::arena::TrialArena::new();
+        let mut wheel: TimeWheel<(SimTime, u64)> = arena.take_queue();
+        wheel.reset(10);
+        for seq in 0..2000u64 {
+            wheel.push((1_000_000 + seq, seq));
+        }
+        assert_eq!(wheel.overflow.len(), 2000, "events beyond the horizon");
+        arena.store_queue(wheel);
+        let mut wheel: TimeWheel<(SimTime, u64)> = arena.take_queue();
+        wheel.reset(10);
+        assert_eq!(wheel.len(), 0, "the checkout reset drops leftovers");
+        assert!(
+            wheel.overflow.capacity() >= 2000,
+            "overflow capacity {} shrank below the last trial's 2000 events",
+            wheel.overflow.capacity()
+        );
     }
 
     #[test]

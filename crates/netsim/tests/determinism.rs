@@ -6,7 +6,7 @@
 
 use fnp_netsim::{
     topology, Graph, Input, LatencyModel, Mailbox, Metrics, NodeId, NodeView, Payload,
-    ProtocolCore, SimConfig, Simulator,
+    ProtocolCore, SimConfig, Simulator, TrialArena,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -131,10 +131,11 @@ fn run_once(graph: Graph, sim_seed: u64) -> Metrics {
     let nodes = (0..graph.node_count())
         .map(|_| GossipNode::default())
         .collect();
-    let mut sim = Simulator::new(graph, nodes, config);
+    let mut arena = TrialArena::new();
+    let mut sim = Simulator::new_in(&mut arena, graph, nodes, config);
     sim.trigger(NodeId::new(0), |node, _view, out| node.start(out));
     sim.run();
-    let (_, metrics) = sim.into_parts();
+    let (_, metrics) = sim.into_parts_in(&mut arena);
     metrics
 }
 

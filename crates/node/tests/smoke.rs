@@ -269,3 +269,17 @@ fn malformed_input_fails_loudly() {
     let status = node.child.wait().expect("wait for fnp-node");
     assert!(!status.success(), "malformed input must not exit 0");
 }
+
+#[test]
+fn over_long_input_line_fails_loudly() {
+    let mut node = NodeProc::spawn();
+    node.send(r#"{"type":"init","node":0,"node_count":2,"neighbors":[1],"seed":0}"#);
+    assert_eq!(kind(&node.read_line()), "init_ok");
+    // A blank line twice the 1 MiB cap, then a valid shutdown. The node
+    // stops reading at the cap and exits, so the rest of the write may
+    // hit a closed pipe.
+    let _ = node.stdin.write_all(&vec![b' '; 2 << 20]);
+    let _ = node.stdin.write_all(b"\n{\"type\":\"shutdown\"}\n");
+    let status = node.child.wait().expect("wait for fnp-node");
+    assert!(!status.success(), "an over-long line must not exit 0");
+}

@@ -14,10 +14,10 @@
 //! ```
 
 use fnp_adversary::{first_spy, AdversarySet, AdversaryView, AttackOutcome, PrivacyExperiment};
-use fnp_core::{run_protocol, FlexConfig, ProtocolKind};
+use fnp_core::{run_protocol_in, FlexConfig, ProtocolKind};
 use fnp_diffusion::AdParams;
 use fnp_gossip::DandelionParams;
-use fnp_netsim::{topology, NodeId, SimConfig};
+use fnp_netsim::{topology, NodeId, SimConfig, TrialArena};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,7 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let graph = topology::random_regular(NETWORK_SIZE, 8, &mut rng)?;
                 let origin = NodeId::new(rng.gen_range(0..NETWORK_SIZE));
 
-                let metrics = run_protocol(
+                let metrics = run_protocol_in(
+                    &mut TrialArena::new(),
                     *kind,
                     graph,
                     origin,

@@ -14,8 +14,8 @@
 //! cargo run --release --example churn_resilience
 //! ```
 
-use fnp_core::{run_protocol, FlexConfig, ProtocolKind};
-use fnp_netsim::{topology, ChurnSchedule, NodeId, SimConfig, SECOND};
+use fnp_core::{run_protocol_in, FlexConfig, ProtocolKind};
+use fnp_netsim::{topology, ChurnSchedule, NodeId, SimConfig, TrialArena, SECOND};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ChurnSchedule::random_fraction(n, fraction, 6 * SECOND, u64::MAX, &[origin], &mut rng);
         let offline = churn.affected_nodes();
 
-        let metrics = run_protocol(
+        let metrics = run_protocol_in(
+            &mut TrialArena::new(),
             ProtocolKind::Flexible(FlexConfig::default()),
             graph,
             origin,

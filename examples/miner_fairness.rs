@@ -12,8 +12,8 @@
 use fnp_blockchain::{
     Block, BlockHeader, Blockchain, InclusionRace, Mempool, MinerSet, RaceConfig, Transaction,
 };
-use fnp_core::{run_protocol, FlexConfig, ProtocolKind};
-use fnp_netsim::{topology, NodeId, SimConfig, SECOND};
+use fnp_core::{run_protocol_in, FlexConfig, ProtocolKind};
+use fnp_netsim::{topology, NodeId, SimConfig, TrialArena, SECOND};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -34,7 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mempool = Mempool::new(1_000_000);
     mempool.insert(tx.clone())?;
 
-    let metrics = run_protocol(
+    let metrics = run_protocol_in(
+        &mut TrialArena::new(),
         ProtocolKind::Flexible(FlexConfig::default()),
         graph.clone(),
         wallet,
@@ -102,7 +103,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut run_rng = StdRng::seed_from_u64(seed);
             let graph = topology::random_regular(n, 8, &mut run_rng)?;
             let origin = NodeId::new(run_rng.gen_range(miner_count..n));
-            let metrics = run_protocol(
+            let metrics = run_protocol_in(
+                &mut TrialArena::new(),
                 kind,
                 graph,
                 origin,

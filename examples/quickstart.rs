@@ -8,8 +8,8 @@
 //! cargo run --example quickstart
 //! ```
 
-use fnp_core::{run_flexible_broadcast, FlexConfig};
-use fnp_netsim::{as_millis, topology, NodeId, SimConfig};
+use fnp_core::{run_flexible_broadcast_in, FlexConfig};
+use fnp_netsim::{as_millis, topology, NodeId, SimConfig, TrialArena};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,7 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("protocol: {config}");
 
     let origin = NodeId::new(123);
-    let report = run_flexible_broadcast(
+    let report = run_flexible_broadcast_in(
+        &mut TrialArena::new(),
         graph,
         origin,
         b"alice pays bob 3 tokens".to_vec(),

@@ -12,10 +12,10 @@
 //! cargo run --release --example wallet_broadcast
 //! ```
 
-use fnp_core::{run_flexible_broadcast, FlexConfig};
+use fnp_core::{run_flexible_broadcast_in, FlexConfig};
 use fnp_dcnet::keyed::KeyedDcGroup;
 use fnp_dcnet::slot::SlotOutcome;
-use fnp_netsim::{topology, NodeId, SimConfig};
+use fnp_netsim::{topology, NodeId, SimConfig, TrialArena};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,7 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     for (seed, (origin, tx)) in wallets.iter().enumerate() {
-        let report = run_flexible_broadcast(
+        let report = run_flexible_broadcast_in(
+            &mut TrialArena::new(),
             graph.clone(),
             *origin,
             tx.as_bytes().to_vec(),

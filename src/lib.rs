@@ -44,9 +44,9 @@ pub use fnp_shuffle as shuffle;
 pub mod prelude {
     pub use fnp_adversary::{first_spy, AdversarySet, AdversaryView, PrivacyExperiment};
     pub use fnp_core::{
-        run_flexible_broadcast, run_protocol, FlexConfig, FlexReport, ProtocolKind,
+        run_flexible_broadcast_in, run_protocol_in, FlexConfig, FlexReport, ProtocolKind,
     };
-    pub use fnp_netsim::{topology, Graph, NodeId, SimConfig, Topology};
+    pub use fnp_netsim::{topology, Graph, NodeId, SimConfig, Topology, TrialArena};
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@ use fnp_blockchain::{
     Block, BlockHeader, Blockchain, InclusionRace, Mempool, MinerSet, RaceConfig, RaceOutcome,
     Transaction,
 };
-use fnp_core::{run_protocol, FlexConfig, ProtocolKind};
-use fnp_netsim::{topology, Metrics, NodeId, SimConfig, SECOND};
+use fnp_core::{run_protocol_in, FlexConfig, ProtocolKind};
+use fnp_netsim::{topology, Metrics, NodeId, SimConfig, TrialArena, SECOND};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -21,7 +21,8 @@ fn overlay(n: usize, seed: u64) -> fnp_netsim::Graph {
 fn a_flexible_broadcast_feeds_a_block_race_and_a_chain() {
     let n = 200;
     let wallet = NodeId::new(150);
-    let metrics = run_protocol(
+    let metrics = run_protocol_in(
+        &mut TrialArena::new(),
         ProtocolKind::Flexible(FlexConfig::default()),
         overlay(n, 1),
         wallet,
@@ -103,7 +104,8 @@ fn fnp_bench_free_fairness() -> Vec<(&'static str, f64)> {
         for seed in 0..3u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let origin = NodeId::new(miner_count + 5 + seed as usize);
-            let metrics = run_protocol(
+            let metrics = run_protocol_in(
+                &mut TrialArena::new(),
                 kind,
                 overlay(n, seed),
                 origin,

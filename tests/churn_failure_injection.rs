@@ -6,9 +6,9 @@
 //! messages to offline nodes are dropped and accounted for, and an outage
 //! that ends before the broadcast starts has no effect at all.
 
-use fnp_core::{run_protocol, FlexConfig, ProtocolKind};
-use fnp_gossip::run_flood;
-use fnp_netsim::{topology, ChurnSchedule, NodeId, SimConfig, SECOND};
+use fnp_core::{run_protocol_in, FlexConfig, ProtocolKind};
+use fnp_gossip::run_flood_in;
+use fnp_netsim::{topology, ChurnSchedule, NodeId, SimConfig, TrialArena, SECOND};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,7 +25,8 @@ fn flooding_still_reaches_most_surviving_nodes_under_churn() {
     let churn = ChurnSchedule::random_fraction(n, 0.2, 0, u64::MAX, &[origin], &mut rng);
     let offline = churn.affected_nodes();
 
-    let metrics = run_flood(
+    let metrics = run_flood_in(
+        &mut TrialArena::new(),
         overlay(n, 1),
         origin,
         7,
@@ -65,7 +66,8 @@ fn flexible_broadcast_with_late_churn_still_covers_survivors() {
     // First run without churn to learn when the broadcast reaches 90 %
     // coverage; the churned run uses the same seed and is therefore
     // identical up to that instant.
-    let baseline = run_protocol(
+    let baseline = run_protocol_in(
+        &mut TrialArena::new(),
         ProtocolKind::Flexible(FlexConfig::default()),
         overlay(n, 2),
         origin,
@@ -83,7 +85,8 @@ fn flexible_broadcast_with_late_churn_still_covers_survivors() {
     let churn = ChurnSchedule::random_fraction(n, 0.15, crash_at, u64::MAX, &[origin], &mut rng);
     let offline = churn.affected_nodes();
 
-    let metrics = run_protocol(
+    let metrics = run_protocol_in(
+        &mut TrialArena::new(),
         ProtocolKind::Flexible(FlexConfig::default()),
         overlay(n, 2),
         origin,
@@ -121,7 +124,8 @@ fn early_churn_can_stall_the_diffusion_phase() {
     let mut rng = StdRng::seed_from_u64(2);
     let churn = ChurnSchedule::random_fraction(n, 0.15, 2 * SECOND, u64::MAX, &[origin], &mut rng);
 
-    let metrics = run_protocol(
+    let metrics = run_protocol_in(
+        &mut TrialArena::new(),
         ProtocolKind::Flexible(FlexConfig::default()),
         overlay(n, 2),
         origin,
@@ -158,7 +162,8 @@ fn an_outage_that_ends_before_the_broadcast_changes_nothing() {
             churn.add(NodeId::new(i), 0, 1);
         }
     }
-    let with_churn = run_protocol(
+    let with_churn = run_protocol_in(
+        &mut TrialArena::new(),
         ProtocolKind::Flexible(FlexConfig::default()),
         overlay(n, 3),
         origin,
@@ -169,7 +174,8 @@ fn an_outage_that_ends_before_the_broadcast_changes_nothing() {
         },
     )
     .unwrap();
-    let without_churn = run_protocol(
+    let without_churn = run_protocol_in(
+        &mut TrialArena::new(),
         ProtocolKind::Flexible(FlexConfig::default()),
         overlay(n, 3),
         origin,
@@ -192,7 +198,8 @@ fn a_crashed_originator_cannot_broadcast() {
     let origin = NodeId::new(0);
     let mut churn = ChurnSchedule::none();
     churn.add(origin, 0, u64::MAX);
-    let metrics = run_flood(
+    let metrics = run_flood_in(
+        &mut TrialArena::new(),
         overlay(n, 4),
         origin,
         9,

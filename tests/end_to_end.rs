@@ -2,10 +2,10 @@
 //! group formation through DC-net, adaptive diffusion and flooding, checked
 //! against the delivery and determinism guarantees the paper relies on.
 
-use fnp_core::{run_flexible_broadcast, run_protocol, FlexConfig, ProtocolKind};
+use fnp_core::{run_flexible_broadcast_in, run_protocol_in, FlexConfig, ProtocolKind};
 use fnp_diffusion::AdParams;
 use fnp_gossip::DandelionParams;
-use fnp_netsim::{topology, NodeId, SimConfig, Topology};
+use fnp_netsim::{topology, NodeId, SimConfig, Topology, TrialArena};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,7 +30,8 @@ fn flexible_broadcast_delivers_on_multiple_topologies() {
     for (index, family) in topologies.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(index as u64);
         let graph = family.generate(300, &mut rng).unwrap();
-        let report = run_flexible_broadcast(
+        let report = run_flexible_broadcast_in(
+            &mut TrialArena::new(),
             graph,
             NodeId::new(7),
             b"integration tx".to_vec(),
@@ -56,7 +57,8 @@ fn flexible_broadcast_delivers_on_multiple_topologies() {
 fn flexible_broadcast_delivers_from_any_origin() {
     let graph = overlay(200, 8, 11);
     for origin in [0usize, 57, 121, 199] {
-        let report = run_flexible_broadcast(
+        let report = run_flexible_broadcast_in(
+            &mut TrialArena::new(),
             graph.clone(),
             NodeId::new(origin),
             format!("tx from {origin}").into_bytes(),
@@ -78,7 +80,8 @@ fn parameter_sweep_keeps_delivery_guarantee() {
     for k in [3usize, 5, 8] {
         for d in [1u32, 4, 8] {
             let config = FlexConfig::default().with_k(k).with_d(d);
-            let report = run_flexible_broadcast(
+            let report = run_flexible_broadcast_in(
+                &mut TrialArena::new(),
                 graph.clone(),
                 NodeId::new(3),
                 b"sweep tx".to_vec(),
@@ -104,7 +107,8 @@ fn parameter_sweep_keeps_delivery_guarantee() {
 fn larger_d_costs_more_diffusion_messages() {
     let graph = overlay(300, 8, 13);
     let run = |d: u32| {
-        run_flexible_broadcast(
+        run_flexible_broadcast_in(
+            &mut TrialArena::new(),
             graph.clone(),
             NodeId::new(9),
             b"tx".to_vec(),
@@ -143,7 +147,8 @@ fn all_four_protocols_deliver_and_are_deterministic() {
     ];
     for kind in kinds {
         let run = || {
-            run_protocol(
+            run_protocol_in(
+                &mut TrialArena::new(),
                 kind,
                 graph.clone(),
                 NodeId::new(17),
@@ -165,7 +170,8 @@ fn all_four_protocols_deliver_and_are_deterministic() {
 #[test]
 fn phase_breakdown_accounts_for_all_messages() {
     let graph = overlay(200, 8, 15);
-    let report = run_flexible_broadcast(
+    let report = run_flexible_broadcast_in(
+        &mut TrialArena::new(),
         graph,
         NodeId::new(0),
         b"accounting tx".to_vec(),

@@ -5,8 +5,8 @@
 //! originator even from an adversary that observes most of the overlay.
 
 use fnp_adversary::{first_spy, AdversarySet, AdversaryView, AttackOutcome, PrivacyExperiment};
-use fnp_core::{run_flexible_broadcast, run_protocol, FlexConfig, ProtocolKind};
-use fnp_netsim::{topology, NodeId, SimConfig};
+use fnp_core::{run_flexible_broadcast_in, run_protocol_in, FlexConfig, ProtocolKind};
+use fnp_netsim::{topology, NodeId, SimConfig, TrialArena};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -23,7 +23,8 @@ fn detection_probability(kind: ProtocolKind, base_seed: u64) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = topology::random_regular(N, 8, &mut rng).unwrap();
         let origin = NodeId::new(rng.gen_range(0..N));
-        let metrics = run_protocol(
+        let metrics = run_protocol_in(
+            &mut TrialArena::new(),
             kind,
             graph,
             origin,
@@ -67,7 +68,8 @@ fn first_spy_never_sees_inside_the_dc_group() {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = topology::random_regular(N, 8, &mut rng).unwrap();
         let origin = NodeId::new(rng.gen_range(0..N));
-        let report = run_flexible_broadcast(
+        let report = run_flexible_broadcast_in(
+            &mut TrialArena::new(),
             graph,
             origin,
             b"group shield tx".to_vec(),
@@ -106,7 +108,8 @@ fn detection_probability_grows_with_adversary_fraction() {
             let mut rng = StdRng::seed_from_u64(seed);
             let graph = topology::random_regular(N, 8, &mut rng).unwrap();
             let origin = NodeId::new(rng.gen_range(0..N));
-            let metrics = run_protocol(
+            let metrics = run_protocol_in(
+                &mut TrialArena::new(),
                 ProtocolKind::Flood,
                 graph,
                 origin,
@@ -138,7 +141,8 @@ fn estimates_are_deterministic_for_a_fixed_trace() {
     let mut rng = StdRng::seed_from_u64(9);
     let graph = topology::random_regular(N, 8, &mut rng).unwrap();
     let origin = NodeId::new(3);
-    let metrics = run_protocol(
+    let metrics = run_protocol_in(
+        &mut TrialArena::new(),
         ProtocolKind::Flood,
         graph,
         origin,
@@ -162,7 +166,8 @@ fn truncated_simulation_degrades_gracefully() {
     // accounting still adds up.
     let mut rng = StdRng::seed_from_u64(21);
     let graph = topology::random_regular(N, 8, &mut rng).unwrap();
-    let report = run_flexible_broadcast(
+    let report = run_flexible_broadcast_in(
+        &mut TrialArena::new(),
         graph,
         NodeId::new(0),
         b"truncated tx".to_vec(),

@@ -9,9 +9,11 @@ use fnp_adversary::{
     AdversarySet, AdversaryView, LinkObserver,
 };
 use fnp_core::PHASE1_KINDS;
-use fnp_core::{run_flexible_broadcast, run_protocol, ElectionStrategy, FlexConfig, ProtocolKind};
-use fnp_gossip::run_flood;
-use fnp_netsim::{topology, NodeId, SimConfig};
+use fnp_core::{
+    run_flexible_broadcast_in, run_protocol_in, ElectionStrategy, FlexConfig, ProtocolKind,
+};
+use fnp_gossip::run_flood_in;
+use fnp_netsim::{topology, NodeId, SimConfig, TrialArena};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,7 +31,8 @@ fn ablated_election_still_delivers_to_everyone() {
         ElectionStrategy::OriginatorAsSource,
     ] {
         let config = FlexConfig::default().with_election(strategy);
-        let metrics = run_protocol(
+        let metrics = run_protocol_in(
+            &mut TrialArena::new(),
             ProtocolKind::Flexible(config),
             overlay(200, 7),
             NodeId::new(33),
@@ -48,7 +51,8 @@ fn insider_coalitions_stay_at_the_analytic_floor() {
     // Run the real protocol, then let every possible coalition inside the
     // originator's group compute its posterior: it can never single out the
     // originator beyond 1/ℓ.
-    let report = run_flexible_broadcast(
+    let report = run_flexible_broadcast_in(
+        &mut TrialArena::new(),
         overlay(150, 3),
         NodeId::new(20),
         b"insider test tx".to_vec(),
@@ -88,7 +92,8 @@ fn a_global_eavesdropper_breaks_flooding_but_not_phase_one() {
 
     // Plain flooding: the very first wire message comes from the originator,
     // so the global passive adversary names it immediately.
-    let flood_metrics = run_flood(
+    let flood_metrics = run_flood_in(
+        &mut TrialArena::new(),
         graph.clone(),
         origin,
         42,
@@ -106,7 +111,8 @@ fn a_global_eavesdropper_breaks_flooding_but_not_phase_one() {
     // evaluation exempts those kinds; the first payload-bearing message then
     // comes from the elected virtual source, not the originator — unless the
     // hash election happens to pick the originator itself (probability 1/|group|).
-    let flex_metrics = run_protocol(
+    let flex_metrics = run_protocol_in(
+        &mut TrialArena::new(),
         ProtocolKind::Flexible(FlexConfig::default()),
         graph,
         origin,
@@ -141,7 +147,8 @@ fn timing_attack_ranks_the_flood_origin_high_but_not_the_flexible_origin() {
     let adversaries = AdversarySet::random_fraction(n, 0.2, &[origin], &mut rng);
     let candidates: Vec<NodeId> = graph.nodes().collect();
 
-    let flood_metrics = run_flood(
+    let flood_metrics = run_flood_in(
+        &mut TrialArena::new(),
         graph.clone(),
         origin,
         7,
@@ -156,7 +163,8 @@ fn timing_attack_ranks_the_flood_origin_high_but_not_the_flexible_origin() {
     let flood_timing = timing_ml(&graph, &flood_view, &candidates, per_hop);
     let flood_rank = rank_of(&flood_timing, origin, &candidates);
 
-    let flex_metrics = run_protocol(
+    let flex_metrics = run_protocol_in(
+        &mut TrialArena::new(),
         ProtocolKind::Flexible(FlexConfig::default()),
         graph.clone(),
         origin,
